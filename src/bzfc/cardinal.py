@@ -11,6 +11,10 @@ inconsistent and purely incomplete sets.  Addition is componentwise;
 multiplication follows from b*b = b, n*n = n, and b*n = 0.  Comparison
 is four-valued and, at the first infinite cardinal, stops being
 antisymmetric.
+
+``eval_arith`` reads cardinal expressions such as ``aleph0 + 2b`` and,
+in real mode, para-real ones such as ``3/2 - 1/3 b``; every cardinal and
+para-real this package prints reads back to itself.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GuardExceeded
+from .parareal import ParaReal
+from .scan import NATURAL, Cursor, natural
 from .sets import NCSet
 from .truth import TruthValue
 
@@ -160,6 +166,98 @@ N_UNIT = Cardinal.finite(0, 0, 1)
 def card_of(a: NCSet) -> Cardinal:
     """The cardinal of a finite set: its three part sizes."""
     return Cardinal.finite(len(a.tpart), len(a.bpart), len(a.npart))
+
+
+# ---------------------------------------------------------------------------
+# Cardinal and para-real expressions
+
+_UNITS = frozenset({"b", "n"})
+
+
+class _ArithParser(Cursor):
+    """expr := term (('+'|'-') term)*
+    term := factor (('*'|'/') factor | unit)*        unit: juxtaposed b or n
+    factor := '-' factor | NAT | ALEPH | 'b' | 'n' | '(' expr ')'
+    Subtraction, division, and unary minus exist only in real mode."""
+
+    symbols = ("+", "-", "*", "/", "(", ")")
+    keywords = _UNITS
+
+    def __init__(self, text: str, real: bool):
+        super().__init__(text)
+        self.real = real
+
+    def _real_only(self) -> None:
+        if not self.real:
+            raise self.fail((), f"{self.word!r} needs --real (cardinals have no subtraction)")
+
+    def expr(self):
+        value = self.term()
+        while self.kind in ("+", "-"):
+            if self.kind == "-":
+                self._real_only()
+            op = self.advance()
+            right = self.term()
+            value = value - right if op == "-" else value + right
+        return value
+
+    def term(self):
+        value = self.factor()
+        while True:
+            kind = self.kind
+            if kind in ("*", "/"):
+                if kind == "/":
+                    self._real_only()
+                self.advance()
+                right = self.factor()
+                value = value / right if kind == "/" else value * right
+            elif kind in _UNITS:
+                value = value * self._unit()
+            else:
+                return value
+
+    def factor(self):
+        kind = self.kind
+        if kind == "-":
+            self._real_only()
+            self.advance()
+            return -self.factor()
+        if kind == "(":
+            self.advance()
+            value = self.expr()
+            self.expect(")")
+            return value
+        if kind == "nat":
+            n = self.nat()
+            return ParaReal(n) if self.real else Cardinal.finite(n, 0, 0)
+        if kind in _UNITS:
+            return self._unit()
+        word = self.word
+        if kind == "name" and word.startswith("aleph") and NATURAL.fullmatch(word, 5):
+            if self.real:
+                raise self.fail((), "alephs are cardinals, not para-reals")
+            index = natural(word[5:])
+            if index > MAX_ALEPH_INDEX:
+                raise GuardExceeded(f"aleph index above {MAX_ALEPH_INDEX} at position {self.pos}")
+            self.advance()
+            return Cardinal(Aleph(index), Fin(0), Fin(0))
+        raise self.fail({"number", "'b'", "'n'", "'('"})
+
+    def _unit(self):
+        b = self.advance() == "b"
+        if self.real:
+            return ParaReal(0, 1, 0) if b else ParaReal(0, 0, 1)
+        return B_UNIT if b else N_UNIT
+
+
+def eval_arith(text: str, real: bool = False) -> Cardinal | ParaReal:
+    """Evaluate a cardinal (or, with real=True, para-real) expression.
+
+    Raises ParseError on malformed text, and GuardExceeded for an aleph
+    index above MAX_ALEPH_INDEX or a natural with more digits than
+    ``int`` converts."""
+    parser = _ArithParser(text, real)
+    return parser.end(parser.expr())
 
 
 # ---------------------------------------------------------------------------

@@ -23,17 +23,18 @@ a universe entry may also name a previously bound set.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 
 from . import selfcheck
-from .cardinal import Aleph, B_UNIT, Cardinal, Fin, N_UNIT, card_of, lattice_dot
+from .cardinal import card_of, eval_arith, lattice_dot
 from .checker import DomainValue, Model, evaluate, valid_prop
 from .errors import (BZFCError, DisjointnessViolation, GuardError, GuardExceeded,
                      NotPropositional, ParseError, UnresolvedName)
 from .formula import parse as parse_formula, render
 from .numerosity import cong_tv, preceq_tv
-from .parareal import ParaReal
 from .sets import Atom, Element, NCSet, parse_element, parse_ncset
 
 MAX_CHECK_CASES = 100_000
@@ -132,134 +133,6 @@ def _resolve_set(text: str, session: Session) -> NCSet:
 
 
 # ---------------------------------------------------------------------------
-# Arithmetic expressions (cardinal and para-real modes)
-
-
-class _ArithParser:
-    """expr := term (('+'|'-') term)*
-    term := factor (('*'|'/') factor | unit)*        unit: juxtaposed b or n
-    factor := '-' factor | NAT | ALEPH | 'b' | 'n' | '(' expr ')'
-    Subtraction, division, and unary minus exist only in --real mode."""
-
-    def __init__(self, text: str, real: bool):
-        self.text = text
-        self.real = real
-        self.tokens = self._tokenize(text)
-        self.i = 0
-
-    @staticmethod
-    def _tokenize(text: str) -> list[tuple[str, str, int]]:
-        tokens = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                tokens.append(("nat", text[i:j], i))
-                i = j
-            elif ch.isalpha() or ch == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                tokens.append(("name", text[i:j], i))
-                i = j
-            elif ch in "+-*/()":
-                tokens.append((ch, ch, i))
-                i += 1
-            else:
-                raise ParseError(f"unexpected character {ch!r}", i)
-        tokens.append(("end", "", len(text)))
-        return tokens
-
-    @property
-    def tok(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
-
-    def _real_only(self, op: str) -> None:
-        if not self.real:
-            raise ParseError(f"{op!r} needs --real (cardinals have no subtraction)",
-                             self.tok[2])
-
-    def parse(self):
-        value = self.expr()
-        if self.tok[0] != "end":
-            raise ParseError(f"unexpected {self.tok[1]!r}", self.tok[2],
-                             frozenset({"end of input"}))
-        return value
-
-    def expr(self):
-        value = self.term()
-        while self.tok[0] in "+-":
-            op = self.tok[0]
-            if op == "-":
-                self._real_only(op)
-            self.i += 1
-            right = self.term()
-            value = value - right if op == "-" else value + right
-        return value
-
-    def term(self):
-        value = self.factor()
-        while True:
-            kind, text, _ = self.tok
-            if kind in "*/":
-                if kind == "/":
-                    self._real_only(kind)
-                self.i += 1
-                right = self.factor()
-                value = value / right if kind == "/" else value * right
-            elif kind == "name" and text in ("b", "n"):
-                self.i += 1
-                value = value * self._unit(text)
-            else:
-                return value
-
-    def factor(self):
-        kind, text, pos = self.tok
-        if kind == "-":
-            self._real_only(kind)
-            self.i += 1
-            return -self.factor()
-        if kind == "(":
-            self.i += 1
-            value = self.expr()
-            if self.tok[0] != ")":
-                raise ParseError(f"unexpected {self.tok[1]!r}", self.tok[2],
-                                 frozenset({"')'"}))
-            self.i += 1
-            return value
-        if kind == "nat":
-            self.i += 1
-            n = int(text)
-            return ParaReal(n) if self.real else Cardinal.finite(n, 0, 0)
-        if kind == "name":
-            if text in ("b", "n"):
-                self.i += 1
-                return self._unit(text)
-            if text.startswith("aleph") and text[5:].isdigit():
-                if self.real:
-                    raise ParseError("alephs are cardinals, not para-reals", pos)
-                self.i += 1
-                return Cardinal(Aleph(int(text[5:])), Fin(0), Fin(0))
-        raise ParseError(f"unexpected {text or 'end of input'!r}", pos,
-                         frozenset({"number", "'b'", "'n'", "'('"}))
-
-    def _unit(self, text: str):
-        if self.real:
-            return ParaReal(0, 1, 0) if text == "b" else ParaReal(0, 0, 1)
-        return B_UNIT if text == "b" else N_UNIT
-
-
-def eval_arith(text: str, real: bool = False):
-    """Evaluate a cardinal (or, with real=True, para-real) expression."""
-    return _ArithParser(text, real).parse()
-
-
-# ---------------------------------------------------------------------------
 # Subcommands
 
 
@@ -302,7 +175,12 @@ def cmd_card(args: argparse.Namespace) -> int:
 
 
 def cmd_arith(args: argparse.Namespace) -> int:
-    print(eval_arith(args.expr, real=args.real))
+    value = eval_arith(args.expr, real=args.real)
+    try:
+        text = str(value)
+    except ValueError:  # a component beyond sys.get_int_max_str_digits()
+        raise GuardExceeded("the result has a component too long to print") from None
+    print(text)
     return 0
 
 
@@ -312,8 +190,8 @@ def cmd_lattice(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    if args.cases > MAX_CHECK_CASES:
-        raise GuardExceeded(f"at most {MAX_CHECK_CASES} cases (asked for {args.cases})")
+    if not 1 <= args.cases <= MAX_CHECK_CASES:
+        raise GuardExceeded(f"--cases must be in 1..{MAX_CHECK_CASES} (asked for {args.cases})")
     results = selfcheck.run_all(args.seed, args.cases)
     failed = False
     for result in results:
@@ -338,6 +216,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 # Argument parsing
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bzfc",
@@ -384,6 +263,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="para-real mode: rationals, subtraction, division")
     p.add_argument("expr")
     p.set_defaults(func=cmd_arith)
+    # argparse reads an argument that starts with '-' as an option unless it
+    # matches the parser's negative-number pattern.  Widen the pattern here
+    # so that a para-real printed with a leading '-' (-b, -1/2) re-parses.
+    p._negative_number_matcher = re.compile("-[^-]")
 
     p = sub.add_parser("lattice", help="DOT diagram of finite cardinals within bounds")
     p.add_argument("t", type=int)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .scan import Cursor
 
 
 # ---------------------------------------------------------------------------
@@ -221,106 +221,50 @@ def prop_letters(f: Formula) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
-
-_KEYWORDS = {"in", "notin", "false", "forall", "exists", "o"}
-_SYMBOLS = ("<->", "<=>", "->", "=>", "/\\", "\\/", "!=",
-            "~", "-", "!", "?", "(", ")", ".", "=", "&")
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # symbol text, keyword, "name", or "end"
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = word if word in _KEYWORDS else "name"
-            tokens.append(_Token(kind, word, i))
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(_Token(sym, sym, i))
-                i += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", len(text)))
-    return tokens
-
-
-# ---------------------------------------------------------------------------
 # Parser (recursive descent following the precedence ladder)
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.i = 0
-
-    @property
-    def tok(self) -> _Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> _Token:
-        t = self.tok
-        self.i += 1
-        return t
-
-    def fail(self, expected: set[str]) -> ParseError:
-        got = self.tok.text or "end of input"
-        return ParseError(f"unexpected {got!r}", self.tok.pos, frozenset(expected))
+class _Parser(Cursor):
+    symbols = ("<->", "<=>", "->", "=>", "/\\", "\\/", "!=",
+               "~", "-", "!", "?", "(", ")", ".", "=", "&")
+    keywords = frozenset({"in", "notin", "false", "forall", "exists", "o"})
 
     def formula(self) -> Formula:
         left = self.implication()
-        if self.tok.kind in ("<->", "<=>"):
-            op = self.advance().kind
+        if self.kind in ("<->", "<=>"):
+            op = self.advance()
             right = self.implication()
-            if self.tok.kind in ("<->", "<=>"):
-                raise ParseError("equivalences do not chain; parenthesize",
-                                 self.tok.pos, frozenset({"')'", "end of input"}))
+            if self.kind in ("<->", "<=>"):
+                raise self.fail({"')'", "end of input"},
+                                "equivalences do not chain; parenthesize")
             return Iff(left, right) if op == "<->" else StrongIff(left, right)
         return left
 
     def implication(self) -> Formula:
         left = self.disjunction()
-        if self.tok.kind in ("->", "=>"):
-            op = self.advance().kind
+        if self.kind in ("->", "=>"):
+            op = self.advance()
             right = self.implication()
             return Imp(left, right) if op == "->" else StrongImp(left, right)
         return left
 
     def disjunction(self) -> Formula:
         left = self.conjunction()
-        while self.tok.kind == "\\/":
+        while self.kind == "\\/":
             self.advance()
             left = Disj(left, self.conjunction())
         return left
 
     def conjunction(self) -> Formula:
         left = self.unary()
-        while self.tok.kind in ("/\\", "&"):
-            op = self.advance().kind
+        while self.kind in ("/\\", "&"):
+            op = self.advance()
             right = self.unary()
             left = Conj(left, right) if op == "/\\" else Amp(left, right)
         return left
 
     def unary(self) -> Formula:
-        kind = self.tok.kind
+        kind = self.kind
         if kind in ("~", "-", "!", "?", "o"):
             self.advance()
             body = self.unary()
@@ -331,19 +275,13 @@ class _Parser:
         return self.atom()
 
     def binder(self) -> Formula:
-        which = self.advance().kind
-        if self.tok.kind != "name":
-            raise self.fail({"variable name"})
-        var = self.advance().text
+        which = self.advance()
+        var = self.expect("name", "variable name")
         bound: Term | None = None
-        if self.tok.kind == "in":
+        if self.kind == "in":
             self.advance()
-            if self.tok.kind != "name":
-                raise self.fail({"set name"})
-            bound = term_for(self.advance().text)
-        if self.tok.kind != ".":
-            raise self.fail({"'.'"})
-        self.advance()
+            bound = term_for(self.expect("name", "set name"))
+        self.expect(".")
         body = self.formula()
         if bound is None:
             return Forall(var, body) if which == "forall" else Exists(var, body)
@@ -351,45 +289,31 @@ class _Parser:
         return desugar(sugar)
 
     def atom(self) -> Formula:
-        kind = self.tok.kind
+        kind = self.kind
         if kind == "false":
             self.advance()
             return Bottom()
         if kind == "(":
             self.advance()
             inner = self.formula()
-            if self.tok.kind != ")":
-                raise self.fail({"')'"})
-            self.advance()
+            self.expect(")")
             return inner
         if kind == "name":
-            name = self.advance().text
-            rel = self.tok.kind
-            if rel in ("in", "notin"):
+            left = term_for(self.advance())
+            rel = self.kind
+            if rel in ("in", "notin", "=", "!="):
                 self.advance()
-                if self.tok.kind != "name":
-                    raise self.fail({"term"})
-                right = term_for(self.advance().text)
-                atom = Membership(term_for(name), right)
-                return Neg(atom) if rel == "notin" else atom
-            if rel in ("=", "!="):
-                self.advance()
-                if self.tok.kind != "name":
-                    raise self.fail({"term"})
-                right = term_for(self.advance().text)
-                atom = Equality(term_for(name), right)
-                return Neg(atom) if rel == "!=" else atom
-            return Prop(name)
+                right = term_for(self.expect("name", "term"))
+                atom = Membership(left, right) if rel in ("in", "notin") else Equality(left, right)
+                return Neg(atom) if rel in ("notin", "!=") else atom
+            return Prop(left.name)
         raise self.fail({"formula"})
 
 
 def parse(text: str) -> Formula:
     """Parse and desugar; raises ParseError with position and expectations."""
-    parser = _Parser(_tokenize(text))
-    f = parser.formula()
-    if parser.tok.kind != "end":
-        raise parser.fail({"end of input"})
-    return f
+    parser = _Parser(text)
+    return parser.end(parser.formula())
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,3 @@ def preceq_tv(a: NCSet, b: NCSet) -> TruthValue:
     deniable = len(a.bang_ext) > len(b.query_ext)
     return TruthValue(assertable, deniable)
 
-
-def is_finite(a: NCSet) -> bool:
-    """A set is finite when its realm is; every representable set is."""
-    return True

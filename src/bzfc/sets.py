@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import DisjointnessViolation, DomainError, ParseError
+from .errors import DisjointnessViolation, DomainError
+from .scan import Cursor
 from .truth import B, F, N, T, TruthValue, conj, disj
 
 
@@ -222,10 +223,6 @@ class ClassicalFn:
 # Text literals
 
 
-def render_element(x: Element) -> str:
-    return str(x)
-
-
 def render_ncset(a: NCSet) -> str:
     def braces(part: frozenset[Element]) -> str:
         return "{" + ",".join(sorted(map(str, part))) + "}"
@@ -233,106 +230,66 @@ def render_ncset(a: NCSet) -> str:
     return f"<{braces(a.bpart)}|{braces(a.tpart)}|{braces(a.npart)}>"
 
 
-class _LiteralScanner:
-    """Shared cursor for the element / set literal grammar."""
+class _LiteralParser(Cursor):
+    """The element and set literal grammar."""
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise ParseError("unexpected input", self.pos, frozenset({repr(ch)}))
-        self.pos += 1
+    symbols = ("<", ">", "{", "}", "|", ",", "(", ")", "@")
 
     def element(self) -> Element:
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
+        kind = self.kind
+        if kind == "(":
+            self.advance()
             left = self.element()
             self.expect(",")
             right = self.element()
             self.expect(")")
             elem: Element = Pair(left, right)
-        elif ch.isdigit():
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            elem = Nat(int(self.text[start:self.pos]))
-        elif ch.isalpha() or ch == "_":
-            start = self.pos
-            while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
-                self.pos += 1
-            elem = Atom(self.text[start:self.pos])
+        elif kind == "nat":
+            elem = Nat(self.nat())
+        elif kind == "name":
+            elem = Atom(self.advance())
         else:
-            raise ParseError("expected an element", self.pos,
-                             frozenset({"identifier", "natural", "'('"}))
-        while self.peek() == "@":
-            self.pos += 1
-            if not self.peek().isdigit():
-                raise ParseError("expected a tag index", self.pos, frozenset({"natural"}))
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            elem = Tag(elem, int(self.text[start:self.pos]))
+            raise self.fail({"identifier", "natural", "'('"}, "expected an element")
+        while self.kind == "@":
+            self.advance()
+            elem = Tag(elem, self.nat())
         return elem
 
     def brace_set(self) -> frozenset[Element]:
         self.expect("{")
         items: set[Element] = set()
-        if self.peek() == "}":
-            self.pos += 1
+        if self.kind == "}":
+            self.advance()
             return frozenset(items)
         while True:
             items.add(self.element())
-            ch = self.peek()
-            if ch == ",":
-                self.pos += 1
-                continue
-            if ch == "}":
-                self.pos += 1
+            kind = self.kind
+            if kind not in (",", "}"):
+                raise self.fail({"','", "'}'"})
+            self.advance()
+            if kind == "}":
                 return frozenset(items)
-            raise ParseError("unexpected input", self.pos, frozenset({"','", "'}'"}))
 
     def ncset(self) -> NCSet:
         self.expect("<")
         first = self.brace_set()
         self.expect("|")
         second = self.brace_set()
-        if self.peek() == "|":
-            self.pos += 1
+        if self.kind == "|":
+            self.advance()
             third = self.brace_set()
             self.expect(">")
             return NCSet(first, second, third)
         self.expect(">")
         return NCSet.from_extensions(first, second)
 
-    def end(self) -> None:
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise ParseError("trailing input", self.pos, frozenset({"end of input"}))
-
 
 def parse_element(text: str) -> Element:
-    scanner = _LiteralScanner(text)
-    elem = scanner.element()
-    scanner.end()
-    return elem
+    parser = _LiteralParser(text)
+    return parser.end(parser.element())
 
 
 def parse_ncset(text: str) -> NCSet:
     """Parse ``<{...}|{...}|{...}>`` (parts) or ``<{...}|{...}>`` (extensions)."""
-    scanner = _LiteralScanner(text)
-    a = scanner.ncset()
-    scanner.end()
-    return a
-
-
+    parser = _LiteralParser(text)
+    return parser.end(parser.ncset())

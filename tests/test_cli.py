@@ -157,6 +157,39 @@ class TestArith:
         assert run(capsys, "arith", "--real", "aleph0")[0] == 2
 
 
+TOO_LONG = "9" * 5000  # more digits than int() and str() convert by default
+
+
+class TestNumberLiterals:
+    """Naturals are ASCII digits; over-long ones, unprintable results and
+    aleph indices above the limit are guard violations, not tracebacks."""
+
+    @pytest.mark.parametrize("argv, session, code", [
+        (["arith", "\u00b2"], None, 2),
+        (["arith", "aleph\u00b2"], None, 2),
+        (["card", "<{\u00b2}|{}|{}>"], None, 2),
+        (["card", "A"], "let A = <{a\u00b2,\u00b2}|{}|{}>\n", 2),
+        (["arith", TOO_LONG], None, 4),
+        (["arith", "--real", TOO_LONG], None, 4),
+        (["card", f"<{{{TOO_LONG}}}|{{}}|{{}}>"], None, 4),
+        (["card", "A"], f"universe a@{TOO_LONG}\nlet A = <{{}}|{{}}|{{}}>\n", 4),
+        (["arith", "aleph16"], None, 4),
+        (["arith", f"aleph{TOO_LONG}"], None, 4),
+        (["arith", "9" * 3000 + " * " + "9" * 3000], None, 4),
+        (["arith", "--real", "9" * 3000 + " * " + "9" * 3000], None, 4),
+    ], ids=["superscript", "aleph-superscript", "card-superscript", "session-superscript",
+            "long", "real-long", "card-long", "session-long", "aleph16", "aleph-long",
+            "unprintable", "real-unprintable"])
+    def test_fail_cleanly(self, capsys, tmp_path, argv, session, code):
+        if session is not None:
+            path = tmp_path / "s.session"
+            path.write_text(session, encoding="utf-8")
+            argv = [*argv, "--session", str(path)]
+        got, out, err = run(capsys, *argv)
+        assert (got, out) == (code, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 class TestEvalArith:
     def test_juxtaposition(self):
         assert eval_arith("2b") == Cardinal.finite(0, 2, 0)
@@ -174,13 +207,16 @@ class TestEvalArith:
     def test_parens(self):
         assert eval_arith("(1 + b) * (1 + n)") == Cardinal.finite(1, 1, 1)
 
-    def test_para_real_literals_round_trip(self):
+    def test_para_real_literals_round_trip(self, capsys):
         from fractions import Fraction
         rng = random.Random(9)
+        values = [ParaReal(0, -1, 0), ParaReal(0, 0, -3), ParaReal("-1/2"), ParaReal(-4)]
         for _ in range(100):
-            x = ParaReal(*(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                           for _ in range(3)))
+            values.append(ParaReal(*(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                                     for _ in range(3))))
+        for x in values:
             assert eval_arith(str(x), real=True) == x
+            assert run(capsys, "arith", "--real", str(x)) == (0, f"{x}\n", "")
 
     def test_cardinal_literals_round_trip(self):
         rng = random.Random(10)
@@ -225,7 +261,10 @@ class TestCheck:
         assert first == second
 
     def test_cases_guard(self, capsys):
-        assert run(capsys, "check", "--cases", "100001")[0] == 4
+        for cases in ("100001", "0", "-3"):
+            code, out, err = run(capsys, "check", "--cases", cases)
+            assert (code, out) == (4, "")
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_failure_exits_5_and_prints_instances(self, capsys, monkeypatch):
         from bzfc import cli as cli_module

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from test_sets import ncsets
-from bzfc.numerosity import cong_tv, is_finite, preceq_tv
+from bzfc.numerosity import cong_tv, preceq_tv
 from bzfc.sets import Atom, NCSet
 from bzfc.truth import B, F, N, T
 
@@ -35,10 +35,6 @@ class TestExamples:
 
     def test_two_classical_vs_one_classical(self):
         assert preceq_tv(NCSet(set(), {x, y}, set()), NCSet(set(), {x}, set())) == F
-
-    def test_everything_is_finite(self):
-        assert is_finite(NCSet())
-        assert is_finite(NCSet({a}, {b}, {c}))
 
 
 def _random_parts(rng):
