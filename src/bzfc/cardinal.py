@@ -19,19 +19,18 @@ para-real this package prints reads back to itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import GuardExceeded
 from .parareal import ParaReal
 from .scan import NATURAL, Cursor, natural
 from .sets import NCSet
 from .truth import TruthValue
+from .value import Value
 
 MAX_ALEPH_INDEX = 15
 MAX_LATTICE_BOUND = 6
 
 
-class ClassicalCard:
+class ClassicalCard(Value):
     __slots__ = ()
 
     @property
@@ -68,35 +67,37 @@ class ClassicalCard:
         return self if other <= self else other
 
 
-@dataclass(frozen=True)
 class Fin(ClassicalCard):
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"a cardinal cannot be negative: {self.n}")
+    def __init__(self, n: int):
+        if n < 0:
+            raise ValueError(f"a cardinal cannot be negative: {n}")
+        object.__setattr__(self, "n", n)
 
     def __str__(self) -> str:
         return str(self.n)
 
 
-@dataclass(frozen=True)
 class Aleph(ClassicalCard):
-    index: int
+    __slots__ = ("index",)
 
-    def __post_init__(self):
-        if not 0 <= self.index <= MAX_ALEPH_INDEX:
-            raise ValueError(f"aleph index must be in 0..{MAX_ALEPH_INDEX}: {self.index}")
+    def __init__(self, index: int):
+        if not 0 <= index <= MAX_ALEPH_INDEX:
+            raise ValueError(f"aleph index must be in 0..{MAX_ALEPH_INDEX}: {index}")
+        object.__setattr__(self, "index", index)
 
     def __str__(self) -> str:
         return f"aleph{self.index}"
 
 
-@dataclass(frozen=True)
-class Cardinal:
-    kt: ClassicalCard
-    kb: ClassicalCard
-    kn: ClassicalCard
+class Cardinal(Value):
+    __slots__ = ("kt", "kb", "kn")
+
+    def __init__(self, kt: ClassicalCard, kb: ClassicalCard, kn: ClassicalCard):
+        object.__setattr__(self, "kt", kt)
+        object.__setattr__(self, "kb", kb)
+        object.__setattr__(self, "kn", kn)
 
     @classmethod
     def finite(cls, t: int, b: int, n: int) -> "Cardinal":

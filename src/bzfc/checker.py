@@ -12,13 +12,13 @@ assignments of the four truth values to the letters.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
 from . import formula as fm
 from .errors import EmptyUniverse, GuardExceeded, NotPropositional, UnresolvedName
 from .sets import Element, NCSet
 from .truth import ALL_VALUES, F, T, TruthValue, amp, bang, circ, cneg, conj, disj, iff, imp, neg, query, strong_iff, strong_imp
+from .value import Value
 
 DomainValue = Union[Element, NCSet]
 
@@ -29,12 +29,10 @@ _BINARY_OPS = {fm.Conj: conj, fm.Amp: amp, fm.Disj: disj, fm.Imp: imp,
                fm.StrongImp: strong_imp, fm.Iff: iff, fm.StrongIff: strong_iff}
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(Value):
     """A finite structure: ordered universe plus constant bindings."""
 
-    universe: tuple[DomainValue, ...]
-    env: Mapping[str, DomainValue]
+    __slots__ = ("universe", "env")
 
     def __init__(self, universe: Iterable[DomainValue] = (),
                  env: Mapping[str, DomainValue] | None = None):

@@ -25,16 +25,16 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass, field
 from functools import cache
 
 from . import selfcheck
 from .cardinal import card_of, eval_arith, lattice_dot
 from .checker import DomainValue, Model, evaluate, valid_prop
 from .errors import (BZFCError, DisjointnessViolation, GuardError, GuardExceeded,
-                     NotPropositional, ParseError, UnresolvedName)
+                     NotPropositional, ParseError, UnreadableFile, UnresolvedName)
 from .formula import parse as parse_formula, render
 from .numerosity import cong_tv, preceq_tv
+from .scan import is_name
 from .sets import Atom, Element, NCSet, parse_element, parse_ncset
 
 MAX_CHECK_CASES = 100_000
@@ -44,25 +44,29 @@ MAX_CHECK_CASES = 100_000
 # Sessions
 
 
-@dataclass
 class Session:
-    bindings: dict[str, NCSet] = field(default_factory=dict)
-    universe: list[DomainValue] | None = None
+    def __init__(self, bindings: dict[str, NCSet] | None = None,
+                 universe: list[DomainValue] | None = None):
+        self.bindings = {} if bindings is None else bindings
+        self.universe = universe
 
 
 def load_session(path: str) -> Session:
     session = Session()
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.readlines()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except (OSError, UnicodeDecodeError) as err:
+        raise UnreadableFile(f"{path}: {getattr(err, 'strerror', None) or err}") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
             _session_line(session, line)
-        except ParseError as err:
-            raise ParseError(f"{path}:{lineno}: {err.args[0]}", err.position,
-                             err.expected) from None
+        except BZFCError as err:
+            err.args = (f"{path}:{lineno}: {err}",)  # same class, so same exit code
+            raise
     return session
 
 
@@ -72,7 +76,7 @@ def _session_line(session: Session, line: str) -> None:
         rest = words[1] if len(words) > 1 else ""
         name, eq, literal = rest.partition("=")
         name = name.strip()
-        if not name.isidentifier() or not eq:
+        if not is_name(name) or not eq:
             raise ParseError("expected 'let NAME = <set literal>'", 0,
                              frozenset({"let"}))
         if name in session.bindings:
@@ -295,9 +299,6 @@ def main(argv: list[str] | None = None) -> int:
     except GuardError as err:
         print(f"error: {err}", file=sys.stderr)
         return 4
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except BZFCError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto its exit-code contract: ParseError -> 2,
-UnresolvedName -> 3, GuardError -> 4.
+The CLI maps these onto its exit-code contract: ParseError and
+UnreadableFile -> 2, UnresolvedName -> 3, GuardError -> 4.
 """
 
 
@@ -23,6 +23,10 @@ class ParseError(BZFCError):
         if expected:
             detail += " (expected " + ", ".join(sorted(expected)) + ")"
         super().__init__(detail)
+
+
+class UnreadableFile(BZFCError):
+    """A file named on the command line cannot be opened or decoded."""
 
 
 class UnresolvedName(BZFCError):

@@ -21,33 +21,40 @@ propositional letter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Callable
 
+from .errors import GuardExceeded
 from .scan import Cursor
+from .value import Value
+
+# The deepest a parsed formula may nest: no atom lies inside more than
+# MAX_NESTING parentheses, prefix connectives, binders and right operands
+# of -> or =>, or below more than MAX_NESTING tree nodes.  At 100, parsing
+# (7 frames a level) and every recursive walk of the tree (at most 2)
+# stay well inside Python's default recursion limit of 1000.
+MAX_NESTING = 100
 
 
 # ---------------------------------------------------------------------------
 # Terms
 
 
-class Term:
+class Term(Value):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
+
+    def __str__(self) -> str:
+        return self.name
+
+
+class Var(Term):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Var(Term):
-    name: str
-
-    def __str__(self) -> str:
-        return self.name
-
-
-@dataclass(frozen=True)
 class Const(Term):
-    name: str
-
-    def __str__(self) -> str:
-        return self.name
+    __slots__ = ()
 
 
 def term_for(name: str) -> Term:
@@ -55,126 +62,126 @@ def term_for(name: str) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# Formulas
+# Formulas; each shape of node has one constructor.
 
 
-class Formula:
+class Formula(Value):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Prop(Formula):
-    name: str
+    __slots__ = ("name",)
+    __init__ = Term.__init__
 
 
-@dataclass(frozen=True)
-class Membership(Formula):
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
-class Equality(Formula):
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
 class Bottom(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Neg(Formula):
-    body: Formula
+class Unary(Formula):
+    __slots__ = ("body",)
+
+    def __init__(self, body: Formula):
+        object.__setattr__(self, "body", body)
 
 
-@dataclass(frozen=True)
-class CNeg(Formula):
-    body: Formula
+class Binary(Formula):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Bang(Formula):
-    body: Formula
+class Membership(Formula):
+    __slots__ = ("left", "right")
+    __init__ = Binary.__init__
 
 
-@dataclass(frozen=True)
-class Query(Formula):
-    body: Formula
+class Equality(Formula):
+    __slots__ = ("left", "right")
+    __init__ = Binary.__init__
 
 
-@dataclass(frozen=True)
-class Circ(Formula):
-    body: Formula
+class Neg(Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Conj(Formula):
-    left: Formula
-    right: Formula
+class CNeg(Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Amp(Formula):
-    left: Formula
-    right: Formula
+class Bang(Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Disj(Formula):
-    left: Formula
-    right: Formula
+class Query(Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Imp(Formula):
-    left: Formula
-    right: Formula
+class Circ(Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class StrongImp(Formula):
-    left: Formula
-    right: Formula
+class Conj(Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
+class Amp(Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class StrongIff(Formula):
-    left: Formula
-    right: Formula
+class Disj(Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Forall(Formula):
-    var: str
-    body: Formula
+class Imp(Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Exists(Formula):
-    var: str
-    body: Formula
+class StrongImp(Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ForallIn(Formula):
-    var: str
-    bound: Term
-    body: Formula
+class Iff(Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ExistsIn(Formula):
-    var: str
-    bound: Term
-    body: Formula
+class StrongIff(Binary):
+    __slots__ = ()
+
+
+class Quantifier(Formula):
+    __slots__ = ("var", "body")
+
+    def __init__(self, var: str, body: Formula):
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "body", body)
+
+
+class Forall(Quantifier):
+    __slots__ = ()
+
+
+class Exists(Quantifier):
+    __slots__ = ()
+
+
+class RestrictedQuantifier(Formula):
+    __slots__ = ("var", "bound", "body")
+
+    def __init__(self, var: str, bound: Term, body: Formula):
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "body", body)
+
+
+class ForallIn(RestrictedQuantifier):
+    __slots__ = ()
+
+
+class ExistsIn(RestrictedQuantifier):
+    __slots__ = ()
 
 
 _UNARY = {Neg: "~", CNeg: "-", Bang: "!", Query: "?", Circ: "o "}
@@ -186,19 +193,21 @@ def desugar(f: Formula) -> Formula:
     """Eliminate restricted binders in favor of & and ->."""
     if isinstance(f, (Prop, Membership, Equality, Bottom)):
         return f
-    if isinstance(f, tuple(_UNARY)):
+    if isinstance(f, Unary):
         return type(f)(desugar(f.body))
-    if isinstance(f, tuple(_BINARY)):
+    if isinstance(f, Binary):
         return type(f)(desugar(f.left), desugar(f.right))
-    if isinstance(f, Forall):
-        return Forall(f.var, desugar(f.body))
-    if isinstance(f, Exists):
-        return Exists(f.var, desugar(f.body))
-    if isinstance(f, ForallIn):
-        return Forall(f.var, Imp(Membership(Var(f.var), f.bound), desugar(f.body)))
-    if isinstance(f, ExistsIn):
-        return Exists(f.var, Amp(Membership(Var(f.var), f.bound), desugar(f.body)))
+    if isinstance(f, Quantifier):
+        return type(f)(f.var, desugar(f.body))
+    if isinstance(f, RestrictedQuantifier):
+        return _unrestricted(type(f), f.var, f.bound, desugar(f.body))
     raise TypeError(f"not a formula: {f!r}")
+
+
+def _unrestricted(kind: type, var: str, bound: Term, body: Formula) -> Formula:
+    """The restricted binder ``kind`` written out over a desugared body."""
+    member = Membership(Var(var), bound)
+    return Forall(var, Imp(member, body)) if kind is ForallIn else Exists(var, Amp(member, body))
 
 
 def prop_letters(f: Formula) -> tuple[str, ...]:
@@ -208,12 +217,10 @@ def prop_letters(f: Formula) -> tuple[str, ...]:
     def walk(g: Formula) -> None:
         if isinstance(g, Prop):
             found.add(g.name)
-        elif isinstance(g, tuple(_UNARY)):
-            walk(g.body)
-        elif isinstance(g, tuple(_BINARY)):
+        elif isinstance(g, Binary):
             walk(g.left)
             walk(g.right)
-        elif isinstance(g, (Forall, Exists, ForallIn, ExistsIn)):
+        elif isinstance(g, (Unary, Quantifier, RestrictedQuantifier)):
             walk(g.body)
 
     walk(f)
@@ -228,6 +235,16 @@ class _Parser(Cursor):
     symbols = ("<->", "<=>", "->", "=>", "/\\", "\\/", "!=",
                "~", "-", "!", "?", "(", ")", ".", "=", "&")
     keywords = frozenset({"in", "notin", "false", "forall", "exists", "o"})
+    depth = 0
+
+    def nested(self, parse: Callable[[], Formula]) -> Formula:
+        """``parse()``, one level of nesting deeper."""
+        if self.depth == MAX_NESTING:
+            raise GuardExceeded(f"formula nested more than {MAX_NESTING} deep at position {self.pos}")
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def formula(self) -> Formula:
         left = self.implication()
@@ -244,7 +261,7 @@ class _Parser(Cursor):
         left = self.disjunction()
         if self.kind in ("->", "=>"):
             op = self.advance()
-            right = self.implication()
+            right = self.nested(self.implication)
             return Imp(left, right) if op == "->" else StrongImp(left, right)
         return left
 
@@ -267,7 +284,7 @@ class _Parser(Cursor):
         kind = self.kind
         if kind in ("~", "-", "!", "?", "o"):
             self.advance()
-            body = self.unary()
+            body = self.nested(self.unary)
             node = {"~": Neg, "-": CNeg, "!": Bang, "?": Query, "o": Circ}[kind]
             return node(body)
         if kind in ("forall", "exists"):
@@ -282,11 +299,10 @@ class _Parser(Cursor):
             self.advance()
             bound = term_for(self.expect("name", "set name"))
         self.expect(".")
-        body = self.formula()
+        body = self.nested(self.formula)
         if bound is None:
             return Forall(var, body) if which == "forall" else Exists(var, body)
-        sugar = ForallIn(var, bound, body) if which == "forall" else ExistsIn(var, bound, body)
-        return desugar(sugar)
+        return _unrestricted(ForallIn if which == "forall" else ExistsIn, var, bound, body)
 
     def atom(self) -> Formula:
         kind = self.kind
@@ -295,7 +311,7 @@ class _Parser(Cursor):
             return Bottom()
         if kind == "(":
             self.advance()
-            inner = self.formula()
+            inner = self.nested(self.formula)
             self.expect(")")
             return inner
         if kind == "name":
@@ -311,9 +327,25 @@ class _Parser(Cursor):
 
 
 def parse(text: str) -> Formula:
-    """Parse and desugar; raises ParseError with position and expectations."""
+    """Parse and desugar; raises ParseError with position and expectations,
+    and GuardExceeded for a formula nested more than MAX_NESTING deep."""
     parser = _Parser(text)
-    return parser.end(parser.formula())
+    f = parser.end(parser.formula())
+    if len(parser.kinds) > MAX_NESTING:  # each level of the tree takes a token
+        _check_depth(f)
+    return f
+
+
+def _check_depth(f: Formula) -> None:
+    stack = [(f, 0)]
+    while stack:
+        g, depth = stack.pop()
+        if depth > MAX_NESTING:
+            raise GuardExceeded(f"formula nested more than {MAX_NESTING} deep")
+        if isinstance(g, Binary):
+            stack += (g.left, depth + 1), (g.right, depth + 1)
+        elif isinstance(g, (Unary, Quantifier)):
+            stack.append((g.body, depth + 1))
 
 
 # ---------------------------------------------------------------------------

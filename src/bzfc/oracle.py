@@ -16,21 +16,23 @@ definitions and a factorial guard.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import GuardExceeded, PoolTooSmall
 from .sets import Atom, ClassicalFn, Element, NCSet
 from .truth import TruthValue
+from .value import Value
 
 MAX_REALM_SIZE = 4
 
 
-@dataclass(frozen=True)
-class PebblePool:
+class PebblePool(Value):
     """Fresh atoms, disjoint from the realms they will count."""
 
-    atoms: tuple[Atom, ...]
+    __slots__ = ("atoms",)
+
+    def __init__(self, atoms: tuple[Atom, ...]):
+        object.__setattr__(self, "atoms", atoms)
 
     @classmethod
     def for_sets(cls, a: NCSet, b: NCSet, size: int | None = None) -> "PebblePool":

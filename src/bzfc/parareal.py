@@ -13,19 +13,16 @@ break the intuitions that work for cardinals, e.g. -2n vs -b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotInvertible
+from .value import Value
 
 Rational = Fraction | int | str
 
 
-@dataclass(frozen=True)
-class ParaReal:
-    xt: Fraction
-    xb: Fraction
-    xn: Fraction
+class ParaReal(Value):
+    __slots__ = ("xt", "xb", "xn")
 
     def __init__(self, xt: Rational = 0, xb: Rational = 0, xn: Rational = 0):
         object.__setattr__(self, "xt", Fraction(xt))

@@ -54,6 +54,11 @@ def tokenize(text: str, symbols: tuple[str, ...],
     return words, kinds
 
 
+def is_name(text: str) -> bool:
+    """Whether ``text`` is exactly one name."""
+    return tokenize(text, (), frozenset())[1] == ["name", "end"]
+
+
 def natural(digits: str) -> int:
     """The value of a run of ASCII digits."""
     # 0 means no limit, as on Pythons older than 3.10.7, which lack the call.

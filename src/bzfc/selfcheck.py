@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import cardinal, numerosity, oracle, parareal
@@ -18,11 +17,11 @@ from .sets import Atom, NCSet
 _ALPHABET = tuple(Atom(ch) for ch in "abcdef")
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    checks: int = 0
-    failures: list[str] = field(default_factory=list)
+    def __init__(self, name: str, checks: int = 0, failures: list[str] | None = None):
+        self.name = name
+        self.checks = checks
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:

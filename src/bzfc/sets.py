@@ -13,53 +13,61 @@ elements, images of sets under them, and the text literal syntax
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import DisjointnessViolation, DomainError
 from .scan import Cursor
 from .truth import B, F, N, T, TruthValue, conj, disj
+from .value import Value
 
 
 # ---------------------------------------------------------------------------
 # Elements
 
 
-class Element:
+class Element(Value):
     """Base class for realm members: atoms, naturals, pairs, tags."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Atom(Element):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
 class Nat(Element):
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        object.__setattr__(self, "value", value)
 
     def __str__(self) -> str:
         return str(self.value)
 
 
-@dataclass(frozen=True)
 class Pair(Element):
-    left: Element
-    right: Element
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Element, right: Element):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     def __str__(self) -> str:
         return f"({self.left},{self.right})"
 
 
-@dataclass(frozen=True)
 class Tag(Element):
-    value: Element
-    index: int
+    __slots__ = ("value", "index")
+
+    def __init__(self, value: Element, index: int):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "index", index)
 
     def __str__(self) -> str:
         return f"{self.value}@{self.index}"
@@ -73,13 +81,10 @@ def _element_key(x: Element) -> str:
 # Non-classical sets
 
 
-@dataclass(frozen=True)
-class NCSet:
+class NCSet(Value):
     """A finite set with four-valued membership, given by its three parts."""
 
-    bpart: frozenset[Element]
-    tpart: frozenset[Element]
-    npart: frozenset[Element]
+    __slots__ = ("bpart", "tpart", "npart")
 
     def __init__(self, bpart: Iterable[Element] = (), tpart: Iterable[Element] = (),
                  npart: Iterable[Element] = ()):

@@ -9,13 +9,18 @@ consequence, not an input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .value import Value
 
 
-@dataclass(frozen=True)
-class TruthValue:
-    assertable: bool
-    deniable: bool
+class TruthValue(Value):
+    """One of T, B, N, F, the only four instances."""
+
+    __slots__ = ("assertable", "deniable")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __new__(cls, assertable: bool, deniable: bool) -> "TruthValue":
+        return _BY_FLAGS[assertable, deniable]
 
     @property
     def is_classical(self) -> bool:
@@ -47,10 +52,12 @@ class TruthValue:
         return f"TruthValue.{self.letter}"
 
 
-T = TruthValue(assertable=True, deniable=False)
-B = TruthValue(assertable=True, deniable=True)
-N = TruthValue(assertable=False, deniable=False)
-F = TruthValue(assertable=False, deniable=True)
+_BY_FLAGS: dict[tuple[bool, bool], TruthValue] = {}
+for _flags in ((True, False), (True, True), (False, False), (False, True)):
+    _BY_FLAGS[_flags] = _value = object.__new__(TruthValue)
+    object.__setattr__(_value, "assertable", _flags[0])
+    object.__setattr__(_value, "deniable", _flags[1])
+T, B, N, F = _BY_FLAGS.values()
 
 ALL_VALUES = (T, B, N, F)
 

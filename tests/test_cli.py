@@ -10,6 +10,7 @@ from helpers import random_ncset
 from bzfc.cardinal import Aleph, Cardinal, Fin, card_of
 from bzfc.cli import Session, eval_arith, load_session, main, session_model
 from bzfc.errors import ParseError
+from bzfc.formula import MAX_NESTING, parse
 from bzfc.parareal import ParaReal
 from bzfc.sets import Atom, Nat, NCSet, parse_ncset
 
@@ -190,6 +191,53 @@ class TestNumberLiterals:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+class TestNesting:
+    """Formulas nested past MAX_NESTING are guard violations; the deepest
+    admitted ones parse, render, evaluate and check at the default
+    recursion limit."""
+
+    M = MAX_NESTING
+    DEEPEST = {
+        "prefix": "~" * M + "false",
+        "parens": "(" * M + "false" + ")" * M,
+        "mixed": "(~" * (M // 2) + "false" + ")" * (M // 2),
+        "and-chain": " /\\ ".join(["false"] * (M + 1)),
+        "implication-chain": " -> ".join(["false"] * (M + 1)),
+        "binders": "forall x . " * M + "false",
+        "restricted-binders": "exists x in A . " * (M // 2) + "false",
+    }
+    TOO_DEEP = {
+        "prefix": "~" * (M + 1) + "p",
+        "parens": "(" * (M + 1) + "p" + ")" * (M + 1),
+        "and-chain": " /\\ ".join(["p"] * (M + 2)),
+        "implication-chain": " -> ".join(["p"] * (M + 2)),
+        "binders": "forall x . " * (M + 1) + "p",
+        "restricted-body": "forall x in A . " + " \\/ ".join(["p"] * 2000),
+        "3000-negations": "~" * 3000 + "p",
+        "2000-parentheses": "(" * 2000 + "p" + ")" * 2000,
+    }
+
+    @pytest.mark.parametrize("text", DEEPEST.values(), ids=DEEPEST.keys())
+    def test_deepest_admitted(self, capsys, tmp_path, text):
+        session = tmp_path / "s.session"
+        session.write_text("let A = <{}|{a}|{}>\nuniverse a\n")
+        code, out, err = run(capsys, "parse", text)
+        assert (code, err) == (0, "") and parse(out) == parse(text)
+        code, out, err = run(capsys, "eval", text, "--session", str(session))
+        assert (code, err) == (0, "") and out in ("t\n", "f\n")
+        if "x" not in text:
+            code, out, err = run(capsys, "valid", text)
+            assert (code, err) == (0, "") and out.split()[0] in ("valid", "invalid")
+
+    @pytest.mark.parametrize("command", ["parse", "eval", "valid"])
+    @pytest.mark.parametrize("text", TOO_DEEP.values(), ids=TOO_DEEP.keys())
+    def test_too_deep_is_a_guard(self, capsys, command, text):
+        code, out, err = run(capsys, command, text)
+        assert (code, out) == (4, "")
+        assert err.startswith(f"error: formula nested more than {MAX_NESTING} deep")
+        assert len(err.splitlines()) == 1
+
+
 class TestEvalArith:
     def test_juxtaposition(self):
         assert eval_arith("2b") == Cardinal.finite(0, 2, 0)
@@ -310,6 +358,43 @@ class TestSessions:
         code, _, _ = run(capsys, "eval", "false", "--session",
                          str(tmp_path / "absent.session"))
         assert code == 2
+
+    @pytest.mark.parametrize("make", ["directory", "bad-utf8", "permission"])
+    def test_unreadable_file_is_exit_2(self, capsys, tmp_path, monkeypatch, make):
+        path = tmp_path / "s.session"
+        if make == "directory":
+            path.mkdir()
+        elif make == "bad-utf8":
+            path.write_bytes(b"let A = <{a}|{}|{}>\n\xff\n")
+        else:
+            path.write_text("universe a\n")
+
+            def refuse(*args, **kwargs):
+                raise PermissionError(13, "Permission denied", str(path))
+            monkeypatch.setattr("bzfc.cli.open", refuse, raising=False)
+        code, out, err = run(capsys, "eval", "false", "--session", str(path))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize("text, code, message", [
+        (f"universe a@{TOO_LONG}\n", 4,
+         f"a natural of 5000 digits; at most {sys.get_int_max_str_digits()}"),
+        ("# two\nlet A = <{a}|{a}|{}>\n", 2, "element a appears in more than one part"),
+        ("let A = <{a}|{b}\n", 2, "unexpected 'end of input' at position 8 (expected '>')"),
+    ], ids=["guard", "disjointness", "parse"])
+    def test_errors_name_their_line(self, capsys, tmp_path, text, code, message):
+        path = tmp_path / "s.session"
+        path.write_text(text, encoding="utf-8")
+        lineno = text.count("\n")
+        got, out, err = run(capsys, "eval", "false", "--session", str(path))
+        assert (got, out, err) == (code, "", f"error: {path}:{lineno}: {message}\n")
+
+    @pytest.mark.parametrize("name", ["\u216b", "A B", "1A", "\u00b2"])
+    def test_let_names_follow_the_formula_syntax(self, capsys, tmp_path, name):
+        path = tmp_path / "s.session"
+        path.write_text(f"let {name} = <{{a}}|{{}}|{{}}>\n", encoding="utf-8")
+        code, out, err = run(capsys, "eval", "false", "--session", str(path))
+        assert (code, out) == (2, "") and err.startswith(f"error: {path}:1: ")
 
     def test_model_binds_realm_atoms(self):
         session = Session(bindings={"A": parse_ncset("<{a}|{}|{}>")})

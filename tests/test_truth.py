@@ -4,7 +4,9 @@ The tables below are the reference; the implementation must reproduce
 them from the flag-pair semantics alone.
 """
 
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given
@@ -46,6 +48,14 @@ class TestInhabitants:
         assert B == TruthValue(True, True)
         assert N == TruthValue(False, False)
         assert F == TruthValue(False, True)
+
+    def test_interned(self):
+        assert TruthValue(True, False) is T
+        assert TruthValue(assertable=False, deniable=True) is F
+        for v in ALL_VALUES:
+            assert copy.copy(v) is v
+            assert copy.deepcopy(v) is v
+            assert pickle.loads(pickle.dumps(v)) is v
 
     def test_classical_and_designated(self):
         assert {v.letter for v in ALL_VALUES if v.is_classical} == {"t", "f"}
