@@ -4,28 +4,39 @@ Truth values separate assertability from deniability; sets may contain
 elements inconsistently or incompletely; sizes compare four-valuedly
 and live in a three-component cardinal arithmetic that extends to
 rational para-real numbers.
+
+Importing the package imports none of its modules: the first use of a
+name below imports the module that defines it (PEP 562), so a caller
+pays only for the modules it touches.
 """
 
-from .cardinal import (Aleph, B_UNIT, Cardinal, ClassicalCard, Fin, N_UNIT, ONE,
-                       ZERO, card_of, eval_arith, finite_lattice, lattice_dot)
-from .checker import Model, eval_prop, evaluate, valid_prop
-from .formula import Formula, desugar, parse, render
-from .numerosity import cong_tv, preceq_tv
-from .oracle import PebblePool, cong_brute, enumerate_countings, preceq_brute
-from .parareal import ParaReal
-from .sets import (Atom, ClassicalFn, Element, EMPTY, Nat, NCSet, Pair, Tag,
-                   parse_element, parse_ncset, render_ncset)
-from .truth import (ALL_VALUES, B, F, N, T, TruthValue, amp, bang, circ, cneg,
-                    conj, disj, iff, imp, neg, query, strong_iff, strong_imp)
+import importlib
 
-__all__ = [
-    "ALL_VALUES", "Aleph", "Atom", "B", "B_UNIT", "Cardinal", "ClassicalCard",
-    "ClassicalFn", "EMPTY", "Element", "F", "Fin", "Formula", "Model", "N",
-    "N_UNIT", "NCSet", "Nat", "ONE", "Pair", "ParaReal", "PebblePool", "T",
-    "Tag", "TruthValue", "ZERO", "amp", "bang", "card_of", "circ", "cneg",
-    "cong_brute", "cong_tv", "conj", "desugar", "disj", "enumerate_countings",
-    "eval_arith", "eval_prop", "evaluate", "finite_lattice", "iff", "imp",
-    "lattice_dot", "neg", "parse", "parse_element", "parse_ncset",
-    "preceq_brute", "preceq_tv", "query", "render", "render_ncset",
-    "strong_iff", "strong_imp", "valid_prop",
-]
+_EXPORTS = {
+    "cardinal": ("Aleph", "B_UNIT", "Cardinal", "ClassicalCard", "Fin", "N_UNIT", "ONE",
+                 "ZERO", "card_of", "eval_arith", "finite_lattice", "lattice_dot"),
+    "checker": ("Model", "eval_prop", "evaluate", "valid_prop"),
+    "formula": ("Formula", "desugar", "parse", "render"),
+    "numerosity": ("cong_tv", "preceq_tv"),
+    "oracle": ("PebblePool", "cong_brute", "enumerate_countings", "preceq_brute"),
+    "parareal": ("ParaReal",),
+    "sets": ("Atom", "ClassicalFn", "Element", "EMPTY", "Nat", "NCSet", "Pair", "Tag",
+             "parse_element", "parse_ncset", "render_ncset"),
+    "truth": ("ALL_VALUES", "B", "F", "N", "T", "TruthValue", "amp", "bang", "circ", "cneg",
+              "conj", "disj", "iff", "imp", "neg", "query", "strong_iff", "strong_imp"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:  # a submodule, or nothing: the import system decides
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

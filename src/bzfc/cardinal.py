@@ -183,6 +183,7 @@ class _ArithParser(Cursor):
 
     symbols = ("+", "-", "*", "/", "(", ")")
     keywords = _UNITS
+    what = "expression"
 
     def __init__(self, text: str, real: bool):
         super().__init__(text)
@@ -222,10 +223,10 @@ class _ArithParser(Cursor):
         if kind == "-":
             self._real_only()
             self.advance()
-            return -self.factor()
+            return -self.nested(self.factor)
         if kind == "(":
             self.advance()
-            value = self.expr()
+            value = self.nested(self.expr)
             self.expect(")")
             return value
         if kind == "nat":

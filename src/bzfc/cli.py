@@ -26,18 +26,20 @@ import argparse
 import re
 import sys
 from functools import cache
+from typing import Callable, TypeVar
 
-from . import selfcheck
 from .cardinal import card_of, eval_arith, lattice_dot
 from .checker import DomainValue, Model, evaluate, valid_prop
-from .errors import (BZFCError, DisjointnessViolation, GuardError, GuardExceeded,
-                     NotPropositional, ParseError, UnreadableFile, UnresolvedName)
+from .errors import (BZFCError, GuardError, GuardExceeded, ParseError, UnreadableFile,
+                     UnresolvedName, UsageError)
 from .formula import parse as parse_formula, render
 from .numerosity import cong_tv, preceq_tv
 from .scan import is_name
 from .sets import Atom, Element, NCSet, parse_element, parse_ncset
 
 MAX_CHECK_CASES = 100_000
+_WORD = re.compile(r"\S+")
+_T = TypeVar("_T")
 
 
 # ---------------------------------------------------------------------------
@@ -59,45 +61,57 @@ def load_session(path: str) -> Session:
     except (OSError, UnicodeDecodeError) as err:
         raise UnreadableFile(f"{path}: {getattr(err, 'strerror', None) or err}") from None
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.rstrip()
+        if not line or line.lstrip().startswith("#"):
             continue
+        # Rewrite the message in place: same class, so same exit code.
         try:
             _session_line(session, line)
+        except ParseError as err:
+            err.args = (f"{path}:{lineno}:{err.position + 1}: {err.detail()}",)
+            raise
         except BZFCError as err:
-            err.args = (f"{path}:{lineno}: {err}",)  # same class, so same exit code
+            err.args = (f"{path}:{lineno}: {err}",)
             raise
     return session
 
 
 def _session_line(session: Session, line: str) -> None:
-    words = line.split(None, 1)
-    if words[0] == "let":
-        rest = words[1] if len(words) > 1 else ""
-        name, eq, literal = rest.partition("=")
-        name = name.strip()
+    """Apply one directive.  A ParseError's position is an offset in ``line``."""
+    directive = line.split(None, 1)[0]
+    start = line.index(directive)
+    end = start + len(directive)
+    if directive == "let":
+        head, eq, literal = line[end:].partition("=")
+        name = head.strip()
+        at = end + len(head) - len(head.lstrip())  # where NAME starts
         if not is_name(name) or not eq:
-            raise ParseError("expected 'let NAME = <set literal>'", 0,
-                             frozenset({"let"}))
+            raise ParseError("expected 'let NAME = <set literal>'", at, frozenset({"let"}))
         if name in session.bindings:
-            raise ParseError(f"name {name!r} bound twice", 0)
-        session.bindings[name] = parse_ncset(literal.strip())
-    elif words[0] == "universe":
+            raise ParseError(f"name {name!r} bound twice", at)
+        literal = literal.lstrip()
+        session.bindings[name] = _parse_at(len(line) - len(literal), parse_ncset, literal)
+    elif directive == "universe":
         if session.universe is not None:
-            raise ParseError("universe declared twice", 0)
-        entries = words[1].split() if len(words) > 1 else []
-        if not entries:
-            raise ParseError("universe must not be empty", 0)
-        session.universe = [_universe_entry(session, text) for text in entries]
+            raise ParseError("universe declared twice", start)
+        words = [(m.start(), m[0]) for m in _WORD.finditer(line, end)]
+        if not words:
+            raise ParseError("universe must not be empty", len(line))
+        session.universe = [session.bindings[text] if text in session.bindings
+                            else _parse_at(at, parse_element, text)
+                            for at, text in words]
     else:
-        raise ParseError(f"unknown directive {words[0]!r}", 0,
+        raise ParseError(f"unknown directive {directive!r}", start,
                          frozenset({"let", "universe", "#"}))
 
 
-def _universe_entry(session: Session, text: str) -> DomainValue:
-    if text in session.bindings:
-        return session.bindings[text]
-    return parse_element(text)
+def _parse_at(start: int, parse: Callable[[str], _T], text: str) -> _T:
+    """``parse(text)``, where ``text`` starts at offset ``start`` of its
+    line; a ParseError's position is made an offset in the line."""
+    try:
+        return parse(text)
+    except ParseError as err:
+        raise ParseError(err.message, start + err.position, err.expected) from None
 
 
 def session_model(session: Session) -> Model:
@@ -196,7 +210,8 @@ def cmd_lattice(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     if not 1 <= args.cases <= MAX_CHECK_CASES:
         raise GuardExceeded(f"--cases must be in 1..{MAX_CHECK_CASES} (asked for {args.cases})")
-    results = selfcheck.run_all(args.seed, args.cases)
+    from .selfcheck import run_all  # only `check` needs the suites
+    results = run_all(args.seed, args.cases)
     failed = False
     for result in results:
         if result.ok:
@@ -220,9 +235,17 @@ def cmd_check(args: argparse.Namespace) -> int:
 # Argument parsing
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a command line that fits no command as one ``error:`` line
+    and exit 2, like any other error, instead of usage text."""
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message} (see {self.prog} --help)")
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="bzfc",
         description="Evaluate four-valued formulas and compute with "
                     "inconsistent/incomplete sets, their cardinals, and para-reals.",
@@ -267,10 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="para-real mode: rationals, subtraction, division")
     p.add_argument("expr")
     p.set_defaults(func=cmd_arith)
-    # argparse reads an argument that starts with '-' as an option unless it
-    # matches the parser's negative-number pattern.  Widen the pattern here
-    # so that a para-real printed with a leading '-' (-b, -1/2) re-parses.
-    p._negative_number_matcher = re.compile("-[^-]")
 
     p = sub.add_parser("lattice", help="DOT diagram of finite cardinals within bounds")
     p.add_argument("t", type=int)
@@ -283,25 +302,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cases", type=int, default=200)
     p.set_defaults(func=cmd_check)
 
+    # argparse reads an argument that starts with '-' as an option unless it
+    # matches the parser's negative-number pattern.  Widen the pattern where
+    # the argument is a formula or an expression, so that printed values with
+    # a leading '-' (the formula -p, the para-reals -b and -1/2) re-parse.
+    for name in ("parse", "eval", "valid", "arith"):
+        sub.choices[name]._negative_number_matcher = re.compile("-[^-]")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (ParseError, DisjointnessViolation, NotPropositional) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except UnresolvedName as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except GuardError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 4
     except BZFCError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        # One line, even where argparse quotes a stray argument as it is.
+        print("error:", " ".join(str(err).splitlines()), file=sys.stderr)
+        if isinstance(err, UnresolvedName):
+            return 3
+        return 4 if isinstance(err, GuardError) else 2
 
 
 if __name__ == "__main__":

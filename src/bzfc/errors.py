@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto its exit-code contract: ParseError and
-UnreadableFile -> 2, UnresolvedName -> 3, GuardError -> 4.
+The CLI maps these onto its exit-code contract: UnresolvedName -> 3,
+GuardError -> 4, every other error (ParseError, UnreadableFile,
+UsageError, ...) -> 2.
 """
 
 
@@ -17,12 +18,20 @@ class ParseError(BZFCError):
     """
 
     def __init__(self, message: str, position: int, expected: frozenset[str] = frozenset()):
+        self.message = message
         self.position = position
         self.expected = expected
-        detail = f"{message} at position {position}"
-        if expected:
-            detail += " (expected " + ", ".join(sorted(expected)) + ")"
-        super().__init__(detail)
+        super().__init__(self.detail(f" at position {position}"))
+
+    def detail(self, where: str = "") -> str:
+        """The message, then ``where``, then the tokens that were expected."""
+        if not self.expected:
+            return self.message + where
+        return f"{self.message}{where} (expected {', '.join(sorted(self.expected))})"
+
+
+class UsageError(BZFCError):
+    """A command line that fits none of the CLI's commands."""
 
 
 class UnreadableFile(BZFCError):

@@ -21,18 +21,14 @@ propositional letter.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from .errors import GuardExceeded
-from .scan import Cursor
+from .scan import MAX_NESTING, Cursor
 from .value import Value
 
 # The deepest a parsed formula may nest: no atom lies inside more than
 # MAX_NESTING parentheses, prefix connectives, binders and right operands
-# of -> or =>, or below more than MAX_NESTING tree nodes.  At 100, parsing
-# (7 frames a level) and every recursive walk of the tree (at most 2)
-# stay well inside Python's default recursion limit of 1000.
-MAX_NESTING = 100
+# of -> or =>, or below more than MAX_NESTING tree nodes.  Every recursive
+# walk of the tree takes at most 2 frames a level.
 
 
 # ---------------------------------------------------------------------------
@@ -235,16 +231,7 @@ class _Parser(Cursor):
     symbols = ("<->", "<=>", "->", "=>", "/\\", "\\/", "!=",
                "~", "-", "!", "?", "(", ")", ".", "=", "&")
     keywords = frozenset({"in", "notin", "false", "forall", "exists", "o"})
-    depth = 0
-
-    def nested(self, parse: Callable[[], Formula]) -> Formula:
-        """``parse()``, one level of nesting deeper."""
-        if self.depth == MAX_NESTING:
-            raise GuardExceeded(f"formula nested more than {MAX_NESTING} deep at position {self.pos}")
-        self.depth += 1
-        node = parse()
-        self.depth -= 1
-        return node
+    what = "formula"
 
     def formula(self) -> Formula:
         left = self.implication()

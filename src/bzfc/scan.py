@@ -11,7 +11,10 @@ rules shared by all of them live here:
   violation, since ``int`` would refuse them);
 * whitespace separates tokens and is otherwise ignored;
 * every parse error is a ``ParseError`` with a position and the
-  descriptions of the tokens that would have been accepted there.
+  descriptions of the tokens that would have been accepted there;
+* no text nests more than ``MAX_NESTING`` levels deep (a guard
+  violation), so neither the recursive-descent parsers nor the
+  recursive walks over what they build reach Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -20,12 +23,17 @@ import re
 import sys
 from functools import cache
 from itertools import islice
-from typing import Iterable, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 from .errors import GuardExceeded, ParseError
 
 NATURAL = re.compile("[0-9]+")
 _T = TypeVar("_T")
+
+# At 100, the formula parser (7 frames a level, the deepest of the
+# grammars) and every recursive walk of what a parser builds stay well
+# inside Python's default recursion limit of 1000.
+MAX_NESTING = 100
 
 
 @cache
@@ -77,6 +85,8 @@ class Cursor:
 
     symbols: tuple[str, ...] = ()
     keywords: frozenset[str] = frozenset()
+    what = "text"  # names the text in a nesting error
+    depth = 0
 
     def __init__(self, text: str):
         self.text = text
@@ -107,6 +117,20 @@ class Cursor:
         if self.kind != kind:
             raise self.fail({what or repr(kind)})
         return self.advance()
+
+    def enter(self) -> None:
+        """Go one level of nesting deeper; past MAX_NESTING, a guard violation."""
+        if self.depth == MAX_NESTING:
+            raise GuardExceeded(f"{self.what} nested more than {MAX_NESTING} deep "
+                                f"at position {self.pos}")
+        self.depth += 1
+
+    def nested(self, parse: Callable[[], _T]) -> _T:
+        """``parse()``, one level of nesting deeper."""
+        self.enter()
+        value = parse()
+        self.depth -= 1
+        return value
 
     def nat(self) -> int:
         return natural(self.expect("nat", "natural"))

@@ -239,15 +239,18 @@ class _LiteralParser(Cursor):
     """The element and set literal grammar."""
 
     symbols = ("<", ">", "{", "}", "|", ",", "(", ")", "@")
+    what = "literal"
 
     def element(self) -> Element:
         kind = self.kind
         if kind == "(":
             self.advance()
+            self.enter()
             left = self.element()
             self.expect(",")
             right = self.element()
             self.expect(")")
+            self.depth -= 1
             elem: Element = Pair(left, right)
         elif kind == "nat":
             elem = Nat(self.nat())
@@ -255,9 +258,13 @@ class _LiteralParser(Cursor):
             elem = Atom(self.advance())
         else:
             raise self.fail({"identifier", "natural", "'('"}, "expected an element")
-        while self.kind == "@":
-            self.advance()
-            elem = Tag(elem, self.nat())
+        if self.kind == "@":
+            depth = self.depth
+            while self.kind == "@":  # each tag wraps the element one level deeper
+                self.enter()
+                self.advance()
+                elem = Tag(elem, self.nat())
+            self.depth = depth
         return elem
 
     def brace_set(self) -> frozenset[Element]:

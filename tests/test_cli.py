@@ -238,6 +238,40 @@ class TestNesting:
         assert len(err.splitlines()) == 1
 
 
+class TestLiteralNesting:
+    """Expressions and set literals share the formulas' nesting guard."""
+
+    M = MAX_NESTING
+    PAIRS = "(" * M + "a" + ", b)" * M
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["arith", "(" * M + "1" + ")" * M], "1\n"),
+        (["arith", "--real", "- " * M + "1"], "1\n"),
+        (["card", "<{" + PAIRS + "}|{}|{}>"], "b\n"),
+        (["card", "<{a" + "@1" * M + "}|{}|{}>"], "b\n"),
+        (["cmp", "<{" + PAIRS + "}|{}|{}>", "<{a}|{}|{}>"], "cong: b\npreceq: b\n"),
+    ], ids=["parens", "minus", "pairs", "tags", "cmp"])
+    def test_deepest_admitted(self, capsys, argv, expected):
+        assert run(capsys, *argv) == (0, expected, "")
+
+    @pytest.mark.parametrize("argv, what", [
+        (["arith", "(" * (M + 1) + "1" + ")" * (M + 1)], "expression"),
+        (["arith", "(" * 3000 + "1" + ")" * 3000], "expression"),
+        (["arith", "--real", "- " * (M + 1) + "1"], "expression"),
+        (["card", "<{" + "(" * (M + 1) + "a" + ", b)" * (M + 1) + "}|{}|{}>"], "literal"),
+        (["card", "<{" + "(" * 3000 + "a" + ", b)" * 3000 + "}|{}|{}>"], "literal"),
+        (["card", "<{a" + "@1" * (M + 1) + "}|{}|{}>"], "literal"),
+        (["card", "<{(a" + "@1" * M + ", b)}|{}|{}>"], "literal"),
+        (["card", "<{a" + "@1" * 3000 + "}|{}|{}>"], "literal"),
+    ], ids=["parens", "3000-parens", "minus", "pairs", "3000-pairs", "tags",
+            "tags-in-a-pair", "3000-tags"])
+    def test_too_deep_is_a_guard(self, capsys, argv, what):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert err.startswith(f"error: {what} nested more than {MAX_NESTING} deep")
+        assert len(err.splitlines()) == 1
+
+
 class TestEvalArith:
     def test_juxtaposition(self):
         assert eval_arith("2b") == Cardinal.finite(0, 2, 0)
@@ -315,12 +349,10 @@ class TestCheck:
             assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_failure_exits_5_and_prints_instances(self, capsys, monkeypatch):
-        from bzfc import cli as cli_module
         from bzfc.selfcheck import SuiteResult
         broken = SuiteResult("oracle-random", checks=3,
                              failures=["cong mismatch: <{a}|{}|{}> vs <{}|{}|{}>"])
-        monkeypatch.setattr(cli_module.selfcheck, "run_all",
-                            lambda seed, cases: [broken])
+        monkeypatch.setattr("bzfc.selfcheck.run_all", lambda seed, cases: [broken])
         code, out, _ = run(capsys, "check", "--seed", "1", "--cases", "5")
         assert code == 5
         assert "FAIL oracle-random" in out
@@ -376,25 +408,41 @@ class TestSessions:
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: ")
 
-    @pytest.mark.parametrize("text, code, message", [
-        (f"universe a@{TOO_LONG}\n", 4,
+    @pytest.mark.parametrize("text, code, where, message", [
+        (f"universe a@{TOO_LONG}\n", 4, "1",
          f"a natural of 5000 digits; at most {sys.get_int_max_str_digits()}"),
-        ("# two\nlet A = <{a}|{a}|{}>\n", 2, "element a appears in more than one part"),
-        ("let A = <{a}|{b}\n", 2, "unexpected 'end of input' at position 8 (expected '>')"),
+        ("# two\nlet A = <{a}|{a}|{}>\n", 2, "2", "element a appears in more than one part"),
+        ("let A = <{a}|{b}\n", 2, "1:17", "unexpected 'end of input' (expected '>')"),
     ], ids=["guard", "disjointness", "parse"])
-    def test_errors_name_their_line(self, capsys, tmp_path, text, code, message):
+    def test_errors_name_their_line(self, capsys, tmp_path, text, code, where, message):
+        # A parse error also names its 1-based column in the line.
         path = tmp_path / "s.session"
         path.write_text(text, encoding="utf-8")
-        lineno = text.count("\n")
         got, out, err = run(capsys, "eval", "false", "--session", str(path))
-        assert (got, out, err) == (code, "", f"error: {path}:{lineno}: {message}\n")
+        assert (got, out, err) == (code, "", f"error: {path}:{where}: {message}\n")
+
+    @pytest.mark.parametrize("text, where, message", [
+        ("let A = <{a}|{b|{}>\n", "1:16", "unexpected '|' (expected ',', '}')"),
+        ("# c\n\t let  B  =  <{a}|{}\n", "2:21", "unexpected 'end of input' (expected '>')"),
+        ("let A = <{}|{}|{}>\nuniverse A  b@x\n", "2:15", "unexpected 'x' (expected natural)"),
+        ("universe a\n  universe b\n", "2:3", "universe declared twice"),
+        ("universe\n", "1:9", "universe must not be empty"),
+        ("let A = <{}|{}|{}>\nlet  A = <{}|{}|{}>\n", "2:6", "name 'A' bound twice"),
+        ("let 1A = <{}|{}|{}>\n", "1:5", "expected 'let NAME = <set literal>' (expected let)"),
+        ("  bind A = <{}|{}|{}>\n", "1:3", "unknown directive 'bind' (expected #, let, universe)"),
+    ])
+    def test_parse_errors_name_their_column(self, capsys, tmp_path, text, where, message):
+        path = tmp_path / "s.session"
+        path.write_text(text, encoding="utf-8")
+        got, out, err = run(capsys, "eval", "false", "--session", str(path))
+        assert (got, out, err) == (2, "", f"error: {path}:{where}: {message}\n")
 
     @pytest.mark.parametrize("name", ["\u216b", "A B", "1A", "\u00b2"])
     def test_let_names_follow_the_formula_syntax(self, capsys, tmp_path, name):
         path = tmp_path / "s.session"
         path.write_text(f"let {name} = <{{a}}|{{}}|{{}}>\n", encoding="utf-8")
         code, out, err = run(capsys, "eval", "false", "--session", str(path))
-        assert (code, out) == (2, "") and err.startswith(f"error: {path}:1: ")
+        assert (code, out) == (2, "") and err.startswith(f"error: {path}:1:5: ")
 
     def test_model_binds_realm_atoms(self):
         session = Session(bindings={"A": parse_ncset("<{a}|{}|{}>")})
@@ -407,6 +455,37 @@ class TestSessions:
         session = Session(bindings={"a": parse_ncset("<{a}|{}|{}>")})
         model = session_model(session)
         assert isinstance(model.env["a"], NCSet)
+
+
+class TestUsage:
+    """A command line that fits no command is one error line and exit 2."""
+
+    @pytest.mark.parametrize("argv", [
+        [], ["nope"], ["parse"], ["parse", "p", "extra"], ["parse", "--bogus", "p"],
+        ["eval", "p", "--session"], ["lattice", "x", "1", "1"], ["check", "--cases", "x"],
+        ["parse", "p", "a\nb"],
+    ], ids=["empty", "unknown-command", "missing", "extra", "unknown-option",
+            "option-without-value", "not-an-int", "check-not-an-int", "newline"])
+    def test_one_error_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: bzfc")
+        assert err.endswith("--help)\n")
+
+    def test_help_still_prints(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["parse", "--help"])
+        assert done.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: bzfc parse")
+
+    @pytest.mark.parametrize("command, text, expected", [
+        ("parse", "-p", "-p\n"),
+        ("parse", "-!p", "-!p\n"),
+        ("eval", "-false", "t\n"),
+        ("valid", "-p", "invalid\nwitness: p=t\n"),
+    ])
+    def test_a_formula_may_start_with_minus(self, capsys, command, text, expected):
+        assert run(capsys, command, text) == (0, expected, "")
 
 
 class TestConsoleEntry:

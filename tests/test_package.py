@@ -1,0 +1,79 @@
+"""The package namespace: names load their modules on first use.
+
+Each check that looks at ``sys.modules`` runs in a fresh interpreter,
+since the test process has imported every module already.
+"""
+
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+import bzfc
+
+
+def loaded_after(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ``code``."""
+    script = f"import sys\n{code}\nprint('\\n'.join(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, check=True)
+    return set(proc.stdout.split())
+
+
+def package_modules(modules: set[str]) -> set[str]:
+    return {m for m in modules if m == "bzfc" or m.startswith("bzfc.")}
+
+
+def test_import_loads_only_the_package():
+    assert package_modules(loaded_after("import bzfc")) == {"bzfc"}
+
+
+def test_submodules_load_only_what_they_use():
+    loaded = loaded_after("from bzfc import checker, formula")
+    assert {"bzfc.checker", "bzfc.formula"} <= loaded
+    assert not loaded & {"bzfc.cardinal", "bzfc.parareal", "bzfc.numerosity",
+                         "bzfc.oracle", "fractions"}
+
+
+def test_a_name_loads_its_home_module():
+    loaded = loaded_after("from bzfc import T")
+    assert package_modules(loaded) == {"bzfc", "bzfc.truth", "bzfc.value"}
+
+
+def test_cli_leaves_the_self_check_unloaded():
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "bzfc", "parse", "false"],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "false\n")
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert "bzfc.cli" in imported
+    assert "bzfc.selfcheck" not in imported
+
+
+@pytest.mark.parametrize("name", bzfc.__all__)
+def test_every_name_is_its_home_modules_object(name):
+    home = importlib.import_module(f"bzfc.{bzfc._HOME[name]}")
+    assert getattr(bzfc, name) is home.__dict__[name]
+
+
+def test_star_import_binds_all_names():
+    namespace: dict = {}
+    exec("from bzfc import *", namespace)
+    assert set(bzfc.__all__) <= set(namespace)
+    for name in bzfc.__all__:
+        assert namespace[name] is getattr(bzfc, name)
+
+
+def test_dir_lists_every_name():
+    assert set(bzfc.__all__) <= set(dir(bzfc))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="nope"):
+        bzfc.nope  # noqa: B018
+    assert not hasattr(bzfc, "nope")
+
+
+def test_submodule_import_goes_through_the_import_system():
+    from bzfc import cli
+    assert cli is sys.modules["bzfc.cli"]
