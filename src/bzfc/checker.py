@@ -5,14 +5,22 @@ name environment.  Quantifiers range over the declared universe, not
 over everything there is; this makes evaluation total and testable and
 is the one deliberate departure from the intended class-sized domain.
 
-``valid_prop`` decides propositional validity by exhausting all
-assignments of the four truth values to the letters.
+One engine serves ``evaluate``, ``eval_prop`` and ``valid_prop``.
+``_compile`` turns a formula, once per call, into nested closures over an
+environment indexed by slot: letter i takes slot i, and a bound variable
+the slot of its binder depth.  Each connective is a table over the four
+truth values, built from ``truth``; each name is looked up once, so an
+atom with no bound variable is computed outside every quantifier loop.
+An unresolved name or an empty universe raises only when evaluation
+reaches it, in the order a walk of the tree would meet it.
+``valid_prop`` calls the compiled formula on each of the 4^k assignments.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, Union
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Mapping, Sequence, Union
 
 from . import formula as fm
 from .errors import EmptyUniverse, GuardExceeded, NotPropositional, UnresolvedName
@@ -21,12 +29,15 @@ from .truth import ALL_VALUES, F, T, TruthValue, amp, bang, circ, cneg, conj, di
 from .value import Value
 
 DomainValue = Union[Element, NCSet]
+Compiled = Callable[[Any], TruthValue]
 
 MAX_PROP_LETTERS = 10
 
-_UNARY_OPS = {fm.Neg: neg, fm.CNeg: cneg, fm.Bang: bang, fm.Query: query, fm.Circ: circ}
-_BINARY_OPS = {fm.Conj: conj, fm.Amp: amp, fm.Disj: disj, fm.Imp: imp,
-               fm.StrongImp: strong_imp, fm.Iff: iff, fm.StrongIff: strong_iff}
+_UNARY = {kind: {x: op(x) for x in ALL_VALUES} for kind, op in {
+    fm.Neg: neg, fm.CNeg: cneg, fm.Bang: bang, fm.Query: query, fm.Circ: circ}.items()}
+_BINARY = {kind: {x: {y: op(x, y) for y in ALL_VALUES} for x in ALL_VALUES} for kind, op in {
+    fm.Conj: conj, fm.Amp: amp, fm.Disj: disj, fm.Imp: imp, fm.StrongImp: strong_imp,
+    fm.Iff: iff, fm.StrongIff: strong_iff}.items()}
 
 
 class Model(Value):
@@ -42,87 +53,121 @@ class Model(Value):
 
 def evaluate(f: fm.Formula, model: Model) -> TruthValue:
     """The truth value of a closed formula in the model."""
-    return _eval(fm.desugar(f), model, {})
-
-
-def _resolve(term: fm.Term, model: Model, bound: dict[str, DomainValue]) -> DomainValue:
-    if term.name in bound:
-        return bound[term.name]
-    if term.name in model.env:
-        return model.env[term.name]
-    raise UnresolvedName(term.name)
-
-
-def _eval(f: fm.Formula, model: Model, bound: dict[str, DomainValue]) -> TruthValue:
-    if isinstance(f, fm.Bottom):
-        return F
-    if isinstance(f, fm.Prop):
-        raise UnresolvedName(f.name)
-    if isinstance(f, fm.Membership):
-        left = _resolve(f.left, model, bound)
-        right = _resolve(f.right, model, bound)
-        if isinstance(right, NCSet) and isinstance(left, Element):
-            return right.member_tv(left)
-        return F  # only sets have members, and only elements are members
-    if isinstance(f, fm.Equality):
-        left = _resolve(f.left, model, bound)
-        right = _resolve(f.right, model, bound)
-        if isinstance(left, Element) and isinstance(right, Element):
-            return T if left == right else F
-        if isinstance(left, NCSet) and isinstance(right, NCSet):
-            return left.eq_tv(right)
-        return F  # an element is plainly not a set
-    op = _UNARY_OPS.get(type(f))
-    if op is not None:
-        return op(_eval(f.body, model, bound))
-    op = _BINARY_OPS.get(type(f))
-    if op is not None:
-        return op(_eval(f.left, model, bound), _eval(f.right, model, bound))
-    if isinstance(f, (fm.Forall, fm.Exists)):
-        if not model.universe:
-            raise EmptyUniverse()
-        instances = []
-        for value in model.universe:
-            inner = dict(bound)
-            inner[f.var] = value
-            instances.append(_eval(f.body, model, inner))
-        if isinstance(f, fm.Forall):
-            return TruthValue(all(tv.assertable for tv in instances),
-                              any(tv.deniable for tv in instances))
-        return TruthValue(any(tv.assertable for tv in instances),
-                          all(tv.deniable for tv in instances))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-# ---------------------------------------------------------------------------
-# Propositional validity
+    return _compile(f, model, ())([])
 
 
 def eval_prop(f: fm.Formula, assignment: Mapping[str, TruthValue]) -> TruthValue:
     """Evaluate a propositional formula under a letter assignment."""
-    if isinstance(f, fm.Prop):
-        return assignment[f.name]
-    if isinstance(f, fm.Bottom):
-        return F
-    op = _UNARY_OPS.get(type(f))
-    if op is not None:
-        return op(eval_prop(f.body, assignment))
-    op = _BINARY_OPS.get(type(f))
-    if op is not None:
-        return op(eval_prop(f.left, assignment), eval_prop(f.right, assignment))
-    raise NotPropositional(type(f).__name__)
+    return _compile(f, None, tuple(assignment))(tuple(assignment.values()))
 
 
 def valid_prop(f: fm.Formula) -> tuple[bool, dict[str, TruthValue] | None]:
-    """Whether f is assertable under every assignment; if not, one that
-    falsifies it."""
+    """Whether f is assertable under every assignment; if not, the first
+    one, in ``itertools.product`` order over t, b, n, f, that falsifies it."""
     letters = fm.prop_letters(f)
     if len(letters) > MAX_PROP_LETTERS:
         raise GuardExceeded(
             f"{len(letters)} letters would need 4**{len(letters)} assignments "
             f"(limit {MAX_PROP_LETTERS})")
+    value = _compile(f, None, letters)
     for values in itertools.product(ALL_VALUES, repeat=len(letters)):
-        assignment = dict(zip(letters, values))
-        if not eval_prop(f, assignment).is_designated:
-            return False, assignment
+        if not value(values).assertable:
+            return False, dict(zip(letters, values))
     return True, None
+
+
+def _compile(f: fm.Formula, model: Model | None, scope: Sequence[str]) -> Compiled:
+    """``f`` as a function of the environment.  ``scope`` names the
+    slots; ``model`` is None for a propositional formula, whose letters
+    are the slots."""
+    table = _UNARY.get(type(f))
+    if table is not None:
+        body = _compile(f.body, model, scope)
+        return lambda env: table[body(env)]
+    table = _BINARY.get(type(f))
+    if table is not None:
+        left = _compile(f.left, model, scope)
+        right = _compile(f.right, model, scope)
+        return lambda env: table[left(env)][right(env)]
+    if isinstance(f, fm.Bottom):
+        return lambda env: F
+    if isinstance(f, fm.Prop):
+        if model is None:
+            slot = _slot(scope, f.name)
+            if slot is None:
+                raise KeyError(f.name)
+            return itemgetter(slot)
+        return _failing(UnresolvedName, f.name)
+    if model is None:
+        raise NotPropositional(type(f).__name__)
+    if isinstance(f, fm.RestrictedQuantifier):
+        return _compile(fm._unrestricted(type(f), f.var, f.bound, f.body), model, scope)
+    if isinstance(f, fm.Quantifier):
+        universe, depth = model.universe, len(scope)
+        if not universe:
+            return _failing(EmptyUniverse)
+        body = _compile(f.body, model, (*scope, f.var))
+        # forall is the /\ of its instances and exists their \/.
+        table, start = (_BINARY[fm.Conj], T) if isinstance(f, fm.Forall) else (_BINARY[fm.Disj], F)
+
+        def quantify(env: list) -> TruthValue:
+            env.append(None)
+            value = start
+            for element in universe:
+                env[depth] = element
+                value = table[value][body(env)]
+            env.pop()
+            return value
+
+        return quantify
+    if isinstance(f, (fm.Membership, fm.Equality)):
+        return _atom(_member if isinstance(f, fm.Membership) else _equal, f, model, scope)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _atom(relate: Callable[[DomainValue, DomainValue], TruthValue],
+          f: fm.Membership | fm.Equality, model: Model, scope: Sequence[str]) -> Compiled:
+    """``relate`` on the values of the atom's terms, computed here when
+    both are constants."""
+    named = model.env
+    if all(_slot(scope, t.name) is None and t.name in named for t in (f.left, f.right)):
+        value = relate(named[f.left.name], named[f.right.name])
+        return lambda env: value
+    left, right = _term(f.left.name, model, scope), _term(f.right.name, model, scope)
+    return lambda env: relate(left(env), right(env))
+
+
+def _term(name: str, model: Model, scope: Sequence[str]) -> Callable[[Any], DomainValue]:
+    slot = _slot(scope, name)
+    if slot is not None:
+        return itemgetter(slot)
+    if name in model.env:
+        value = model.env[name]
+        return lambda env: value
+    return _failing(UnresolvedName, name)
+
+
+def _slot(scope: Sequence[str], name: str) -> int | None:
+    """The slot of the innermost binding of ``name``, or None."""
+    return max((slot for slot, bound in enumerate(scope) if bound == name), default=None)
+
+
+def _failing(error: type, *args: str) -> Compiled:
+    """A closure that raises ``error(*args)`` once evaluation reaches it."""
+    def fail(env: Any) -> TruthValue:
+        raise error(*args)
+    return fail
+
+
+def _member(x: DomainValue, s: DomainValue) -> TruthValue:
+    if isinstance(s, NCSet) and isinstance(x, Element):
+        return s.member_tv(x)
+    return F  # only sets have members, and only elements are members
+
+
+def _equal(x: DomainValue, y: DomainValue) -> TruthValue:
+    if isinstance(x, Element) and isinstance(y, Element):
+        return T if x == y else F
+    if isinstance(x, NCSet) and isinstance(y, NCSet):
+        return x.eq_tv(y)
+    return F  # an element is plainly not a set

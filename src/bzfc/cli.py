@@ -35,10 +35,9 @@ from .errors import (BZFCError, GuardError, GuardExceeded, ParseError, Unreadabl
 from .formula import parse as parse_formula, render
 from .numerosity import cong_tv, preceq_tv
 from .scan import is_name
-from .sets import Atom, Element, NCSet, parse_element, parse_ncset
+from .sets import Atom, Element, NCSet, parse_elements, parse_ncset
 
 MAX_CHECK_CASES = 100_000
-_WORD = re.compile(r"\S+")
 _T = TypeVar("_T")
 
 
@@ -85,8 +84,10 @@ def _session_line(session: Session, line: str) -> None:
         head, eq, literal = line[end:].partition("=")
         name = head.strip()
         at = end + len(head) - len(head.lstrip())  # where NAME starts
-        if not is_name(name) or not eq:
-            raise ParseError("expected 'let NAME = <set literal>'", at, frozenset({"let"}))
+        if not is_name(name):
+            raise ParseError("expected 'let NAME = <set literal>'", at, frozenset({"NAME"}))
+        if not eq:  # then NAME ends the line
+            raise ParseError("expected 'let NAME = <set literal>'", len(line), frozenset({"'='"}))
         if name in session.bindings:
             raise ParseError(f"name {name!r} bound twice", at)
         literal = literal.lstrip()
@@ -94,12 +95,11 @@ def _session_line(session: Session, line: str) -> None:
     elif directive == "universe":
         if session.universe is not None:
             raise ParseError("universe declared twice", start)
-        words = [(m.start(), m[0]) for m in _WORD.finditer(line, end)]
-        if not words:
+        entries = _parse_at(end, parse_elements, line[end:])
+        if not entries:
             raise ParseError("universe must not be empty", len(line))
-        session.universe = [session.bindings[text] if text in session.bindings
-                            else _parse_at(at, parse_element, text)
-                            for at, text in words]
+        session.universe = [session.bindings.get(entry.name, entry) if isinstance(entry, Atom)
+                            else entry for entry in entries]
     else:
         raise ParseError(f"unknown directive {directive!r}", start,
                          frozenset({"let", "universe", "#"}))

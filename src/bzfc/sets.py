@@ -301,6 +301,15 @@ def parse_element(text: str) -> Element:
     return parser.end(parser.element())
 
 
+def parse_elements(text: str) -> list[Element]:
+    """Parse a sequence of element literals, such as ``a (b, 1) 2@0``."""
+    parser = _LiteralParser(text)
+    elements = []
+    while parser.kind != "end":
+        elements.append(parser.element())
+    return elements
+
+
 def parse_ncset(text: str) -> NCSet:
     """Parse ``<{...}|{...}|{...}>`` (parts) or ``<{...}|{...}>`` (extensions)."""
     parser = _LiteralParser(text)

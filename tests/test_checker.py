@@ -1,16 +1,19 @@
 """Formula evaluation over finite models, against an independent
 two-relation satisfaction recursion, plus propositional validity."""
 
+import itertools
 import random
 
 import pytest
 
 from helpers import random_closed_formula, random_model, truth_value_by_satisfaction
+from bzfc import formula as fm
 from bzfc.checker import Model, eval_prop, evaluate, valid_prop
+from bzfc.cli import main
 from bzfc.errors import EmptyUniverse, GuardExceeded, NotPropositional, UnresolvedName
 from bzfc.formula import Exists, Forall, Neg, parse
 from bzfc.sets import Atom, NCSet
-from bzfc.truth import B, F, N, T, neg
+from bzfc.truth import ALL_VALUES, B, F, N, T, neg
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
 
@@ -76,6 +79,60 @@ class TestEvaluation:
         assert evaluate(parse("a in A"), m) == T  # no quantifier, no universe needed
         with pytest.raises(EmptyUniverse):
             evaluate(parse("forall x . x in A"), m)
+
+
+class TestEngine:
+    """Cases a wrong compile of the formula would get wrong."""
+
+    def test_rebinding_takes_a_fresh_slot(self):
+        # The inner x shadows the outer one; numbering slots by the number
+        # of names in scope would give z the inner x's slot and read t.
+        m = model_with({}, universe=[a, b], atoms=(a, b))
+        assert evaluate(parse("forall x . exists x . forall z . x = z"), m) == F
+        assert evaluate(parse("forall x . exists x . exists z . x = z"), m) == T
+        assert evaluate(parse("exists x . forall y . exists x . x = y"), m) == T
+
+    @pytest.mark.parametrize("text, error, code", [
+        ("forall x . Z in A", EmptyUniverse, 4),
+        ("Z in A /\\ forall x . x in A", UnresolvedName, 3),
+        ("(forall x . x in A) /\\ Z in A", EmptyUniverse, 4),
+        ("exists x . p", EmptyUniverse, 4),
+    ])
+    def test_errors_come_in_evaluation_order(self, capsys, text, error, code):
+        # Over an empty universe, a quantifier raises before its body is
+        # reached; an unresolved name raises only once it is reached.
+        with pytest.raises(error):
+            evaluate(parse(text), Model((), {"A": NCSet()}))
+        assert main(["eval", text]) == code
+        assert capsys.readouterr().err.count("error:") == 1
+
+    def test_unresolved_names_in_order(self):
+        m = model_with({}, universe=[a])
+        for text, name in [("Y in Z", "Y"), ("a in Z /\\ Y in A", "Z"),
+                           ("forall x . x = Y", "Y"), ("p /\\ Q in A", "p")]:
+            with pytest.raises(UnresolvedName) as raised:
+                evaluate(parse(text), m)
+            assert raised.value.name == name, text
+
+    @pytest.mark.parametrize("text, node", [
+        ("p /\\ ~(x in A) \\/ forall y . q", "Membership"),
+        ("(exists y . q) -> x = y", "Exists"),
+        ("-p <-> q & a != b", "Equality"),
+    ])
+    def test_not_propositional_names_the_leftmost_node(self, text, node):
+        with pytest.raises(NotPropositional, match=f"found {node}$"):
+            valid_prop(parse(text))
+        with pytest.raises(NotPropositional, match=f"found {node}$"):
+            eval_prop(parse(text), {"p": T, "q": T})
+
+    def test_restricted_binders_without_parsing(self):
+        m = model_with({"A": NCSet({a}, {b}, set())})
+        for kind, plain in [(fm.ForallIn, "forall x . x in A -> x = a"),
+                            (fm.ExistsIn, "exists x . x in A & x = a")]:
+            built = kind("x", fm.Const("A"), fm.Equality(fm.Var("x"), fm.Var("a")))
+            assert evaluate(built, m) == evaluate(parse(plain), m)
+        with pytest.raises(NotPropositional, match="found ForallIn$"):
+            eval_prop(fm.ForallIn("x", fm.Const("A"), fm.Prop("p")), {"p": T})
 
 
 class TestAgainstSatisfactionRecursion:
@@ -158,3 +215,72 @@ class TestValidity:
         assert valid_prop(parse("false -> false")) == (True, None)
         ok, witness = valid_prop(parse("false"))
         assert not ok and witness == {}
+
+
+# A letter p with value v, encoded first-order: the atom c in P, where the
+# set P holds c in the part for v (no part for f).
+_C = Atom("c")
+_PARTS = {T: "tpart", B: "bpart", N: "npart", F: None}
+UNARY = (fm.Neg, fm.CNeg, fm.Bang, fm.Query, fm.Circ)
+BINARY = (fm.Conj, fm.Amp, fm.Disj, fm.Imp, fm.StrongImp, fm.Iff, fm.StrongIff)
+
+
+def encoded(f: fm.Formula) -> fm.Formula:
+    if isinstance(f, fm.Prop):
+        return fm.Membership(fm.Const("c"), fm.Const(f.name.upper()))
+    if isinstance(f, fm.Unary):
+        return type(f)(encoded(f.body))
+    if isinstance(f, fm.Binary):
+        return type(f)(encoded(f.left), encoded(f.right))
+    return f
+
+
+def reference(f: fm.Formula, assignment: dict):
+    """The value of f under the assignment, by the satisfaction recursion."""
+    env = {"c": _C}
+    for name, value in assignment.items():
+        part = _PARTS[value]
+        env[name.upper()] = NCSet(**({part: {_C}} if part else {}))
+    return truth_value_by_satisfaction(encoded(f), Model([_C], env))
+
+
+def random_prop(rng: random.Random, letters: str, depth: int) -> fm.Formula:
+    if depth == 0 or rng.random() < 0.2:
+        return fm.Bottom() if rng.random() < 0.05 else fm.Prop(rng.choice(letters))
+    if rng.random() < 0.3:
+        return rng.choice(UNARY)(random_prop(rng, letters, depth - 1))
+    return rng.choice(BINARY)(random_prop(rng, letters, depth - 1),
+                              random_prop(rng, letters, depth - 1))
+
+
+class TestAgainstFirstOrderEncoding:
+    """Small scopes, exhaustively, against the satisfaction recursion."""
+
+    @pytest.mark.parametrize("kind", UNARY, ids=lambda k: k.__name__)
+    def test_unary_connectives(self, kind):
+        f = kind(fm.Prop("p"))
+        for x in ALL_VALUES:
+            assert eval_prop(f, {"p": x}) == reference(f, {"p": x}), x
+
+    @pytest.mark.parametrize("kind", BINARY, ids=lambda k: k.__name__)
+    def test_binary_connectives(self, kind):
+        f = kind(fm.Prop("p"), fm.Prop("q"))
+        for x, y in itertools.product(ALL_VALUES, repeat=2):
+            assignment = {"p": x, "q": y}
+            assert eval_prop(f, assignment) == reference(f, assignment), (x, y)
+
+    def test_witness_is_the_first_failing_assignment(self):
+        rng = random.Random(15)
+        seen = {True: 0, False: 0}
+        for _ in range(250):
+            f = random_prop(rng, "pqr"[:rng.randint(1, 3)], rng.randint(1, 4))
+            letters = fm.prop_letters(f)
+            expected = (True, None)
+            for values in itertools.product(ALL_VALUES, repeat=len(letters)):
+                assignment = dict(zip(letters, values))
+                if not reference(f, assignment).assertable:
+                    expected = (False, assignment)
+                    break
+            assert valid_prop(f) == expected, fm.render(f)
+            seen[expected[0]] += 1
+        assert min(seen.values()) >= 20, seen

@@ -12,7 +12,7 @@ from bzfc.cli import Session, eval_arith, load_session, main, session_model
 from bzfc.errors import ParseError
 from bzfc.formula import MAX_NESTING, parse
 from bzfc.parareal import ParaReal
-from bzfc.sets import Atom, Nat, NCSet, parse_ncset
+from bzfc.sets import Atom, Nat, NCSet, Pair, Tag, parse_ncset
 
 
 def run(capsys, *argv):
@@ -373,6 +373,15 @@ class TestSessions:
         session = load_session(str(path))
         assert session.universe[0] == session.bindings["A"]
 
+    def test_universe_entries_are_element_literals(self, tmp_path):
+        # Entries are read by the literal scanner, so a pair may hold spaces;
+        # a bare name bound by let is still that set.
+        path = tmp_path / "s.session"
+        path.write_text("let A = <{a}|{}|{}>\nuniverse (a, 1) A  b@2 ( c , (d,A) )\n")
+        session = load_session(str(path))
+        assert session.universe == [Pair(Atom("a"), Nat(1)), session.bindings["A"],
+                                    Tag(Atom("b"), 2), Pair(Atom("c"), Pair(Atom("d"), Atom("A")))]
+
     def test_duplicate_binding_rejected(self, tmp_path):
         path = tmp_path / "s.session"
         path.write_text("let A = <{a}|{}|{}>\nlet A = <{}|{}|{}>\n")
@@ -428,7 +437,9 @@ class TestSessions:
         ("universe a\n  universe b\n", "2:3", "universe declared twice"),
         ("universe\n", "1:9", "universe must not be empty"),
         ("let A = <{}|{}|{}>\nlet  A = <{}|{}|{}>\n", "2:6", "name 'A' bound twice"),
-        ("let 1A = <{}|{}|{}>\n", "1:5", "expected 'let NAME = <set literal>' (expected let)"),
+        ("let 1A = <{}|{}|{}>\n", "1:5", "expected 'let NAME = <set literal>' (expected NAME)"),
+        ("let = <{}|{}|{}>\n", "1:5", "expected 'let NAME = <set literal>' (expected NAME)"),
+        ("let  A\n", "1:7", "expected 'let NAME = <set literal>' (expected '=')"),
         ("  bind A = <{}|{}|{}>\n", "1:3", "unknown directive 'bind' (expected #, let, universe)"),
     ])
     def test_parse_errors_name_their_column(self, capsys, tmp_path, text, where, message):
