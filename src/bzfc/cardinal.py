@@ -8,8 +8,9 @@ product).
 A ``Cardinal`` is a triple (kt, kb, kn) of classical cardinals, read as
 kt + kb*b + kn*n where b and n are the sizes of the one-element purely
 inconsistent and purely incomplete sets.  Addition is componentwise;
-multiplication follows from b*b = b, n*n = n, and b*n = 0.  Comparison
-is four-valued and, at the first infinite cardinal, stops being
+multiplication is ``parareal.product``'s rule b*b = b, n*n = n, b*n = 0.
+Comparison is four-valued, through ``numerosity``'s closed forms on the
+coefficients, and at the first infinite cardinal stops being
 antisymmetric.
 
 ``eval_arith`` reads cardinal expressions such as ``aleph0 + 2b`` and,
@@ -20,7 +21,8 @@ para-real this package prints reads back to itself.
 from __future__ import annotations
 
 from .errors import GuardExceeded
-from .parareal import ParaReal
+from .numerosity import at_most, part_sizes, same_size
+from .parareal import ParaReal, product
 from .scan import NATURAL, Cursor, natural
 from .sets import NCSet
 from .truth import TruthValue
@@ -40,19 +42,10 @@ class ClassicalCard(Value):
     def __le__(self, other: "ClassicalCard") -> bool:
         if isinstance(self, Fin):
             return not isinstance(other, Fin) or self.n <= other.n
-        if isinstance(other, Fin):
-            return False
-        assert isinstance(self, Aleph) and isinstance(other, Aleph)
-        return self.index <= other.index
+        return isinstance(other, Aleph) and self.index <= other.index
 
     def __lt__(self, other: "ClassicalCard") -> bool:
         return self <= other and self != other
-
-    def __ge__(self, other: "ClassicalCard") -> bool:
-        return other <= self
-
-    def __gt__(self, other: "ClassicalCard") -> bool:
-        return other < self
 
     def __add__(self, other: "ClassicalCard") -> "ClassicalCard":
         if isinstance(self, Fin) and isinstance(other, Fin):
@@ -114,33 +107,13 @@ class Cardinal(Value):
         return Cardinal(self.kt + other.kt, self.kb + other.kb, self.kn + other.kn)
 
     def __mul__(self, other: "Cardinal") -> "Cardinal":
-        return Cardinal(
-            self.kt * other.kt,
-            self.kt * other.kb + self.kb * other.kt + self.kb * other.kb,
-            self.kt * other.kn + self.kn * other.kt + self.kn * other.kn,
-        )
+        return Cardinal(*product(self.decompose(), other.decompose()))
 
     def le_tv(self, other: "Cardinal") -> TruthValue:
-        """At-most comparison: true needs all four size constraints of the
-        witnessing subset; false exactly when members outnumber possible
-        members (kt+kb beyond other's kt+kn)."""
-        assertable = (self.kt + self.kb + self.kn <= other.kt + other.kb + other.kn
-                      and self.kt + self.kb <= other.kt + other.kb
-                      and self.kt + self.kn <= other.kt + other.kn
-                      and self.kt <= other.kt)
-        deniable = not self.kt + self.kb <= other.kt + other.kn
-        return TruthValue(assertable, deniable)
+        return at_most(self.decompose(), other.decompose())
 
     def eq_tv(self, other: "Cardinal") -> TruthValue:
-        """Equality: true iff componentwise equal; false when either
-        direction's members cannot all be possible members of the other,
-        or an inconsistent part cannot hide in the other's incomplete part."""
-        assertable = self.decompose() == other.decompose()
-        deniable = (not self.kt + self.kb <= other.kt + other.kn
-                    or not other.kt + other.kb <= self.kt + self.kn
-                    or not self.kb <= other.kn
-                    or not other.kb <= self.kn)
-        return TruthValue(assertable, deniable)
+        return same_size(self.decompose(), other.decompose())
 
     def __str__(self) -> str:
         parts = []
@@ -166,7 +139,7 @@ N_UNIT = Cardinal.finite(0, 0, 1)
 
 def card_of(a: NCSet) -> Cardinal:
     """The cardinal of a finite set: its three part sizes."""
-    return Cardinal.finite(len(a.tpart), len(a.bpart), len(a.npart))
+    return Cardinal.finite(*part_sizes(a))
 
 
 # ---------------------------------------------------------------------------
@@ -271,37 +244,30 @@ def finite_lattice(bounds: tuple[int, int, int]) -> tuple[list[Cardinal], list[t
     single-step order edges: +1 along one coordinate, or the diagonal
     trading one inconsistent/incomplete unit for a classical one.
     Reachability along these edges is exactly the assertable side of
-    ``le_tv`` within the grid.
+    ``le_tv`` within the grid.  Nodes come sorted by (t, b, n) and edges
+    by (source, target).
     """
     bt, bb, bn = bounds
     if min(bounds) < 0 or max(bounds) > MAX_LATTICE_BOUND:
         raise GuardExceeded(f"lattice bounds must be within 0..{MAX_LATTICE_BOUND}: {bounds}")
-    nodes = [Cardinal.finite(t, b, n)
-             for t in range(bt + 1) for b in range(bb + 1) for n in range(bn + 1)]
+    nodes: list[Cardinal] = []
     edges: list[tuple[Cardinal, Cardinal]] = []
     for t in range(bt + 1):
         for b in range(bb + 1):
             for n in range(bn + 1):
                 src = Cardinal.finite(t, b, n)
-                if t + 1 <= bt:
-                    edges.append((src, Cardinal.finite(t + 1, b, n)))
-                if b + 1 <= bb:
-                    edges.append((src, Cardinal.finite(t, b + 1, n)))
-                if n + 1 <= bn:
+                nodes.append(src)
+                if n < bn:
                     edges.append((src, Cardinal.finite(t, b, n + 1)))
-                if t + 1 <= bt and b >= 1:
-                    edges.append((src, Cardinal.finite(t + 1, b - 1, n)))
-                if t + 1 <= bt and n >= 1:
-                    edges.append((src, Cardinal.finite(t + 1, b, n - 1)))
-    key = _grid_key
-    nodes.sort(key=key)
-    edges.sort(key=lambda e: (key(e[0]), key(e[1])))
+                if b < bb:
+                    edges.append((src, Cardinal.finite(t, b + 1, n)))
+                if t < bt:
+                    if b:
+                        edges.append((src, Cardinal.finite(t + 1, b - 1, n)))
+                    if n:
+                        edges.append((src, Cardinal.finite(t + 1, b, n - 1)))
+                    edges.append((src, Cardinal.finite(t + 1, b, n)))
     return nodes, edges
-
-
-def _grid_key(k: Cardinal) -> tuple[int, int, int]:
-    assert isinstance(k.kt, Fin) and isinstance(k.kb, Fin) and isinstance(k.kn, Fin)
-    return (k.kt.n, k.kb.n, k.kn.n)
 
 
 def lattice_dot(bounds: tuple[int, int, int]) -> str:

@@ -1,10 +1,12 @@
-"""Same-size and at-most-size comparisons between finite sets.
+"""Same-size and at-most-size comparisons: the only copy of their closed forms.
 
 Both relations are four-valued.  They are defined by quantifying over
-countings (injective relabelings of the realm), but on finite sets they
-reduce to comparisons of part sizes; these closed forms are what we
-compute.  The definitional search lives in the oracle module and exists
-to validate these.
+countings (injective relabelings of the realm), but reduce to closed
+forms over (t, b, n) triples whose coordinates need only ``+`` and
+``<=``: ``cong_tv`` and ``preceq_tv`` apply them to the part sizes of
+finite sets, ``Cardinal.eq_tv`` and ``le_tv`` to cardinal coefficients.
+The definitional search lives in the oracle module and exists to
+validate these.
 """
 
 from __future__ import annotations
@@ -13,27 +15,33 @@ from .sets import NCSet
 from .truth import TruthValue
 
 
+def part_sizes(a: NCSet) -> tuple[int, int, int]:
+    return (len(a.tpart), len(a.bpart), len(a.npart))
+
+
+def same_size(x: tuple, y: tuple) -> TruthValue:
+    """True when the triples are equal; false when either's members (t+b)
+    outnumber the other's possible members (t+n), or either's b exceeds
+    the other's n, so a leftover pebble is forced."""
+    xt, xb, xn = x
+    yt, yb, yn = y
+    deniable = not (xt + xb <= yt + yn and yt + yb <= xt + xn and xb <= yn and yb <= xn)
+    return TruthValue(x == y, deniable)
+
+
+def at_most(x: tuple, y: tuple) -> TruthValue:
+    """True when the realm, both extensions and the t part all fit; false
+    when x's members outnumber y's possible members."""
+    xt, xb, xn = x
+    yt, yb, yn = y
+    assertable = (xt + xb + xn <= yt + yb + yn and xt + xb <= yt + yb
+                  and xt + xn <= yt + yn and xt <= yt)
+    return TruthValue(assertable, not xt + xb <= yt + yn)
+
+
 def cong_tv(a: NCSet, b: NCSet) -> TruthValue:
-    """Equinumerosity: true when all three parts match in size; false
-    when some extension or part is too big to ever tally inside the
-    other's, so a leftover pebble is forced."""
-    assertable = (len(a.tpart) == len(b.tpart)
-                  and len(a.bpart) == len(b.bpart)
-                  and len(a.npart) == len(b.npart))
-    deniable = (len(a.bang_ext) > len(b.query_ext)
-                or len(b.bang_ext) > len(a.query_ext)
-                or len(a.bpart) > len(b.npart)
-                or len(b.bpart) > len(a.npart))
-    return TruthValue(assertable, deniable)
+    return same_size(part_sizes(a), part_sizes(b))
 
 
 def preceq_tv(a: NCSet, b: NCSet) -> TruthValue:
-    """Size-at-most: true when realm, both extensions, and the classical
-    part all fit; false when a's members outnumber b's possible members."""
-    assertable = (len(a.realm) <= len(b.realm)
-                  and len(a.bang_ext) <= len(b.bang_ext)
-                  and len(a.query_ext) <= len(b.query_ext)
-                  and len(a.tpart) <= len(b.tpart))
-    deniable = len(a.bang_ext) > len(b.query_ext)
-    return TruthValue(assertable, deniable)
-
+    return at_most(part_sizes(a), part_sizes(b))

@@ -16,7 +16,7 @@ definitions and a factorial guard.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from typing import Iterator, Sequence
 
 from .errors import GuardExceeded, PoolTooSmall
 from .sets import Atom, ClassicalFn, Element, NCSet
@@ -49,14 +49,13 @@ class PebblePool(Value):
         return cls(tuple(fresh))
 
 
-def enumerate_countings(a: NCSet, codomain: Iterable[Element] | PebblePool) -> Iterator[ClassicalFn]:
+def enumerate_countings(a: NCSet, codomain: Sequence[Element]) -> Iterator[ClassicalFn]:
     """All injections from the realm of ``a`` into the codomain."""
-    targets = codomain.atoms if isinstance(codomain, PebblePool) else tuple(codomain)
     realm = sorted(a.realm, key=str)
-    if len(targets) < len(realm):
+    if len(codomain) < len(realm):
         raise PoolTooSmall(
-            f"codomain of {len(targets)} cannot count a realm of {len(realm)}")
-    for chosen in itertools.permutations(targets, len(realm)):
+            f"codomain of {len(codomain)} cannot count a realm of {len(realm)}")
+    for chosen in itertools.permutations(codomain, len(realm)):
         yield ClassicalFn(zip(realm, chosen))
 
 

@@ -1,8 +1,10 @@
 """Numbers of the form xt + xb*b + xn*n over the classical rationals.
 
-Addition and negation are componentwise; multiplication uses the same
-rule as cardinal products.  A number is invertible when xt, xt+xb, and
-xt+xn are all nonzero, and then y * y.inverse() is exactly 1.  All
+Addition and negation are componentwise.  ``product`` holds the rule
+b*b = b, n*n = n, b*n = 0 once, for these numbers and for cardinals.
+In the coordinates (xt, xt+xb, xt+xn) that rule is componentwise, so a
+number is invertible when no coordinate is zero and its inverse is the
+coordinatewise reciprocal; then y * y.inverse() is exactly 1.  All
 arithmetic is over ``fractions.Fraction`` so the defining identities
 hold with no tolerance.
 
@@ -19,6 +21,13 @@ from .errors import NotInvertible
 from .value import Value
 
 Rational = Fraction | int | str
+
+
+def product(x: tuple, y: tuple) -> tuple:
+    """The product of (t, b, n) triples under b*b = b, n*n = n, b*n = 0."""
+    xt, xb, xn = x
+    yt, yb, yn = y
+    return (xt * yt, xt * yb + xb * yt + xb * yb, xt * yn + xn * yt + xn * yn)
 
 
 class ParaReal(Value):
@@ -39,24 +48,16 @@ class ParaReal(Value):
         return self + (-other)
 
     def __mul__(self, other: "ParaReal") -> "ParaReal":
-        return ParaReal(
-            self.xt * other.xt,
-            self.xt * other.xb + self.xb * other.xt + self.xb * other.xb,
-            self.xt * other.xn + self.xn * other.xt + self.xn * other.xn,
-        )
+        return ParaReal(*product((self.xt, self.xb, self.xn), (other.xt, other.xb, other.xn)))
 
     def inverse(self) -> "ParaReal":
-        failed = [name for name, value in (("t component", self.xt),
-                                           ("t+b sum", self.xt + self.xb),
-                                           ("t+n sum", self.xt + self.xn))
+        coords = (self.xt, self.xt + self.xb, self.xt + self.xn)
+        failed = [name for name, value in zip(("t component", "t+b sum", "t+n sum"), coords)
                   if value == 0]
         if failed:
             raise NotInvertible(" and ".join(failed) + " zero")
-        return ParaReal(
-            1 / self.xt,
-            -self.xb / (self.xt * (self.xt + self.xb)),
-            -self.xn / (self.xt * (self.xt + self.xn)),
-        )
+        t, tb, tn = (1 / value for value in coords)
+        return ParaReal(t, tb - t, tn - t)
 
     def __truediv__(self, other: "ParaReal") -> "ParaReal":
         return self * other.inverse()

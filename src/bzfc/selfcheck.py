@@ -33,31 +33,32 @@ class SuiteResult:
             self.failures.append(detail)
 
 
-def _random_ncset(rng: random.Random, max_realm: int) -> NCSet:
-    size = rng.randint(0, max_realm)
-    chosen = rng.sample(_ALPHABET, size)
+def random_ncset(rng: random.Random, max_realm: int, pool: tuple = _ALPHABET) -> NCSet:
+    """A set of at most ``max_realm`` elements of ``pool``, each in a random part."""
+    size = rng.randint(0, min(max_realm, len(pool)))
+    chosen = rng.sample(pool, size)
     parts: tuple[list, list, list] = ([], [], [])
     for element in chosen:
         parts[rng.randrange(3)].append(element)
     return NCSet(*parts)
 
 
-def _two_atom_family() -> list[NCSet]:
-    statuses = ("absent", "b", "t", "n")
+def two_atom_family() -> list[NCSet]:
+    """The 16 sets whose realm lies in {a, b}: each atom absent or in one part."""
     family = []
-    for s1, s2 in itertools.product(statuses, repeat=2):
-        parts: dict[str, set] = {"b": set(), "t": set(), "n": set()}
-        for atom, status in ((Atom("a"), s1), (Atom("b"), s2)):
-            if status != "absent":
-                parts[status].add(atom)
-        family.append(NCSet(parts["b"], parts["t"], parts["n"]))
+    for places in itertools.product((None, 0, 1, 2), repeat=2):  # absent, b, t, n
+        parts: tuple[list, list, list] = ([], [], [])
+        for atom, place in zip((Atom("a"), Atom("b")), places):
+            if place is not None:
+                parts[place].append(atom)
+        family.append(NCSet(*parts))
     return family
 
 
 def suite_oracle_exhaustive() -> SuiteResult:
     """Closed forms vs. counting search on every pair over two atoms."""
     result = SuiteResult("oracle-exhaustive")
-    family = _two_atom_family()
+    family = two_atom_family()
     for a, b in itertools.product(family, repeat=2):
         result.count(numerosity.cong_tv(a, b) == oracle.cong_brute(a, b),
                      f"cong mismatch: {a} vs {b}")
@@ -70,8 +71,8 @@ def suite_oracle_random(rng: random.Random, cases: int) -> SuiteResult:
     """Closed forms vs. counting search on seeded pairs, each realm <= 4."""
     result = SuiteResult("oracle-random")
     for _ in range(cases):
-        a = _random_ncset(rng, oracle.MAX_REALM_SIZE)
-        b = _random_ncset(rng, oracle.MAX_REALM_SIZE)
+        a = random_ncset(rng, oracle.MAX_REALM_SIZE)
+        b = random_ncset(rng, oracle.MAX_REALM_SIZE)
         result.count(numerosity.cong_tv(a, b) == oracle.cong_brute(a, b),
                      f"cong mismatch: {a} vs {b}")
         result.count(numerosity.preceq_tv(a, b) == oracle.preceq_brute(a, b),
@@ -84,9 +85,9 @@ def suite_equivalence_laws(rng: random.Random, cases: int) -> SuiteResult:
     two-way-implies-same-size law."""
     result = SuiteResult("equivalence-laws")
     for _ in range(cases):
-        a = _random_ncset(rng, 4)
-        b = _random_ncset(rng, 4)
-        c = _random_ncset(rng, 4)
+        a = random_ncset(rng, 4)
+        b = random_ncset(rng, 4)
+        c = random_ncset(rng, 4)
         triple = f"{a} / {b} / {c}"
         result.count(numerosity.cong_tv(a, a).assertable, f"reflexivity: {a}")
         result.count(numerosity.cong_tv(a, b) == numerosity.cong_tv(b, a),
@@ -110,8 +111,8 @@ def suite_cardinal_bridge(rng: random.Random, cases: int) -> SuiteResult:
     """Cardinal comparison agrees with set comparison, value for value."""
     result = SuiteResult("cardinal-bridge")
     for _ in range(cases):
-        a = _random_ncset(rng, 4)
-        b = _random_ncset(rng, 4)
+        a = random_ncset(rng, 4)
+        b = random_ncset(rng, 4)
         ka, kb = cardinal.card_of(a), cardinal.card_of(b)
         result.count(ka.eq_tv(kb) == numerosity.cong_tv(a, b),
                      f"eq/cong bridge: {a} vs {b}")
@@ -125,23 +126,28 @@ def suite_cardinal_arith(rng: random.Random, cases: int) -> SuiteResult:
     sets; ring-style laws hold on random triples."""
     result = SuiteResult("cardinal-arithmetic")
     for _ in range(cases):
-        a = _random_ncset(rng, 3)
-        b = _random_ncset(rng, 3)
+        a = random_ncset(rng, 3)
+        b = random_ncset(rng, 3)
         ka, kb = cardinal.card_of(a), cardinal.card_of(b)
         result.count(cardinal.card_of(a.disjoint_union(b)) == ka + kb,
                      f"sum vs disjoint union: {a} vs {b}")
         result.count(cardinal.card_of(a.product(b)) == ka * kb,
                      f"product vs product: {a} vs {b}")
         x, y, z = (_random_cardinal(rng) for _ in range(3))
-        triple = f"{x} / {y} / {z}"
-        result.count((x + y) + z == x + (y + z), f"sum associativity: {triple}")
-        result.count(x + y == y + x, f"sum commutativity: {triple}")
-        result.count((x * y) * z == x * (y * z), f"product associativity: {triple}")
-        result.count(x * y == y * x, f"product commutativity: {triple}")
-        result.count(x * (y + z) == x * y + x * z, f"distributivity: {triple}")
+        _semiring_laws(result, x, y, z)
         result.count(x * cardinal.ONE == x and x * cardinal.ZERO == cardinal.ZERO,
                      f"unit laws: {x}")
     return result
+
+
+def _semiring_laws(result: SuiteResult, x, y, z) -> None:
+    """Associativity and commutativity of + and *, and distributivity."""
+    triple = f"{x} / {y} / {z}"
+    result.count((x + y) + z == x + (y + z), f"sum associativity: {triple}")
+    result.count(x + y == y + x, f"sum commutativity: {triple}")
+    result.count((x * y) * z == x * (y * z), f"product associativity: {triple}")
+    result.count(x * y == y * x, f"product commutativity: {triple}")
+    result.count(x * (y + z) == x * y + x * z, f"distributivity: {triple}")
 
 
 def _random_cardinal(rng: random.Random) -> cardinal.Cardinal:
@@ -158,13 +164,8 @@ def suite_parareal(rng: random.Random, cases: int) -> SuiteResult:
     result = SuiteResult("para-real")
     for _ in range(cases):
         x, y, z = (_random_parareal(rng) for _ in range(3))
-        triple = f"{x} / {y} / {z}"
         result.count(x - x == parareal.ZERO, f"self-difference: {x}")
-        result.count((x + y) + z == x + (y + z), f"sum associativity: {triple}")
-        result.count(x + y == y + x, f"sum commutativity: {triple}")
-        result.count((x * y) * z == x * (y * z), f"product associativity: {triple}")
-        result.count(x * y == y * x, f"product commutativity: {triple}")
-        result.count(x * (y + z) == x * y + x * z, f"distributivity: {triple}")
+        _semiring_laws(result, x, y, z)
         inv = _random_invertible(rng)
         result.count(inv * inv.inverse() == parareal.ONE, f"inverse: {inv}")
     return result

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from bzfc import formula as fm
+from bzfc import formula as fm, selfcheck
 from bzfc.checker import Model
 from bzfc.sets import Atom, Element, NCSet
 from bzfc.truth import TruthValue
@@ -18,12 +18,7 @@ ATOMS = tuple(Atom(ch) for ch in "abcdefgh")
 
 
 def random_ncset(rng: random.Random, max_realm: int = 4, pool=ATOMS) -> NCSet:
-    size = rng.randint(0, min(max_realm, len(pool)))
-    chosen = rng.sample(pool, size)
-    parts: tuple[list, list, list] = ([], [], [])
-    for element in chosen:
-        parts[rng.randrange(3)].append(element)
-    return NCSet(*parts)
+    return selfcheck.random_ncset(rng, max_realm, pool)
 
 
 # ---------------------------------------------------------------------------

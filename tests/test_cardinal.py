@@ -193,6 +193,44 @@ class TestComparison:
         assert card_of(s).le_tv(card_of(t)) == preceq_tv(s, t)
 
 
+SMALL = [Cardinal(*c) for c in itertools.product(
+    (Fin(0), Fin(1), Fin(2), Aleph(0), Aleph(1)), repeat=3)]
+
+
+class TestSmallScope:
+    """Every pair and every assertable chain of the 125 cardinals with
+    coefficients in {0, 1, 2, aleph0, aleph1}."""
+
+    LE = {(k, m): k.le_tv(m) for k in SMALL for m in SMALL}
+    EQ = {(k, m): k.eq_tv(m) for k in SMALL for m in SMALL}
+
+    def test_le_reflexively_assertable(self):
+        assert all(self.LE[k, k].assertable for k in SMALL)
+
+    def test_le_transitive_over_every_assertable_chain(self):
+        above = {k: [m for m in SMALL if self.LE[k, m].assertable] for k in SMALL}
+        chains = 0
+        for k in SMALL:
+            for m in above[k]:
+                for l in above[m]:
+                    assert self.LE[k, l].assertable, (str(k), str(m), str(l))
+                    chains += 1
+        assert chains == 229_321
+
+    def test_eq_symmetric(self):
+        assert all(self.EQ[k, m] == self.EQ[m, k] for k in SMALL for m in SMALL)
+
+    def test_antisymmetry_fails_on_864_pairs(self):
+        both_ways = [(k, m) for k in SMALL for m in SMALL
+                     if k != m and self.LE[k, m].assertable and self.LE[m, k].assertable]
+        assert len(both_ways) == 864
+        assert (ALEPH0, ALEPH0_PLUS_B) in both_ways
+        assert all(not k.is_finite and not m.is_finite for k, m in both_ways)
+
+    def test_eq_is_both_on_50_pairs(self):
+        assert sum(tv == B for tv in self.EQ.values()) == 50
+
+
 def expected_step_edges(bounds):
     """Axis steps plus the diagonals trading b or n for t, within bounds."""
     bt, bb, bn = bounds
@@ -245,6 +283,15 @@ class TestLattice:
             for node in nodes:
                 assert (node in reached) == start.le_tv(node).assertable, \
                     (str(start), str(node))
+
+    def test_nodes_and_edges_come_in_grid_order(self):
+        for bounds in itertools.product(range(7), repeat=3):
+            nodes, edges = finite_lattice(bounds)
+            keys = [as_tuple(k) for k in nodes]
+            assert keys == sorted(keys), bounds
+            pairs = [(as_tuple(s), as_tuple(t)) for s, t in edges]
+            assert pairs == sorted(pairs), bounds
+            assert set(pairs) == expected_step_edges(bounds), bounds
 
     def test_guard(self):
         with pytest.raises(GuardExceeded):

@@ -448,12 +448,14 @@ class TestSessions:
         got, out, err = run(capsys, "eval", "false", "--session", str(path))
         assert (got, out, err) == (2, "", f"error: {path}:{where}: {message}\n")
 
-    @pytest.mark.parametrize("name", ["\u216b", "A B", "1A", "\u00b2"])
+    @pytest.mark.parametrize("name", ["\u216b", "A B", "1A", "\u00b2",
+                                      "o", "in", "notin", "false", "forall", "exists"])
     def test_let_names_follow_the_formula_syntax(self, capsys, tmp_path, name):
         path = tmp_path / "s.session"
         path.write_text(f"let {name} = <{{a}}|{{}}|{{}}>\n", encoding="utf-8")
         code, out, err = run(capsys, "eval", "false", "--session", str(path))
-        assert (code, out) == (2, "") and err.startswith(f"error: {path}:1:5: ")
+        assert (code, out, err) == (
+            2, "", f"error: {path}:1:5: expected 'let NAME = <set literal>' (expected NAME)\n")
 
     def test_model_binds_realm_atoms(self):
         session = Session(bindings={"A": parse_ncset("<{a}|{}|{}>")})

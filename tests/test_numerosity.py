@@ -1,12 +1,15 @@
 """Closed-form size comparisons and their equivalence-relation laws."""
 
+import itertools
 import random
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from test_sets import ncsets
+from bzfc.cardinal import card_of
 from bzfc.numerosity import cong_tv, preceq_tv
+from bzfc.selfcheck import random_ncset
 from bzfc.sets import Atom, NCSet
 from bzfc.truth import B, F, N, T
 
@@ -30,20 +33,11 @@ class TestExamples:
     def test_empty_fits_below_everything(self):
         rng = random.Random(3)
         for _ in range(50):
-            other = NCSet(*_random_parts(rng))
+            other = random_ncset(rng, 6)
             assert preceq_tv(NCSet(), other) == T
 
     def test_two_classical_vs_one_classical(self):
         assert preceq_tv(NCSet(set(), {x, y}, set()), NCSet(set(), {x}, set())) == F
-
-
-def _random_parts(rng):
-    pool = [Atom(ch) for ch in "abcdef"]
-    chosen = rng.sample(pool, rng.randint(0, 6))
-    parts = ([], [], [])
-    for e in chosen:
-        parts[rng.randrange(3)].append(e)
-    return parts
 
 
 class TestEquivalenceLaws:
@@ -92,3 +86,25 @@ class TestSubsetGivesPreceq:
     def test_subset_assertable_implies_preceq_assertable(self, s, t):
         if s.subset_tv(t).assertable:
             assert preceq_tv(s, t).assertable
+
+
+def signature_set(t: int, b: int, n: int) -> NCSet:
+    atoms = [Atom(f"e{i}") for i in range(t + b + n)]
+    return NCSet(atoms[t:t + b], atoms[:t], atoms[t + b:])
+
+
+class TestSignatures:
+    """All 5,184 pairs of the 72 part-size signatures with parts up to 4
+    and realms up to 6: the set comparisons give what the cardinal ones
+    give on the sets' cardinals, so the shared closed forms read the
+    same over ints as over ``Fin`` coefficients."""
+
+    SIGNATURES = [sig for sig in itertools.product(range(5), repeat=3) if sum(sig) <= 6]
+
+    def test_set_comparisons_match_cardinal_ones(self):
+        sets = [signature_set(*sig) for sig in self.SIGNATURES]
+        assert len(sets) == 72
+        for s, t in itertools.product(sets, repeat=2):
+            ks, kt = card_of(s), card_of(t)
+            assert cong_tv(s, t) == ks.eq_tv(kt), (str(s), str(t))
+            assert preceq_tv(s, t) == ks.le_tv(kt), (str(s), str(t))

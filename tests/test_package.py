@@ -36,6 +36,13 @@ def test_submodules_load_only_what_they_use():
                          "bzfc.oracle", "fractions"}
 
 
+def test_size_comparisons_leave_the_arithmetic_unloaded():
+    # perfbench's oracle-pairs workload sets up with just these modules.
+    loaded = loaded_after("from bzfc import numerosity, oracle")
+    assert {"bzfc.numerosity", "bzfc.oracle"} <= loaded
+    assert not loaded & {"bzfc.cardinal", "bzfc.parareal", "fractions"}
+
+
 def test_a_name_loads_its_home_module():
     loaded = loaded_after("from bzfc import T")
     assert package_modules(loaded) == {"bzfc", "bzfc.truth", "bzfc.value"}

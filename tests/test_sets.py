@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bzfc.errors import DisjointnessViolation, DomainError, ParseError
+from bzfc.selfcheck import two_atom_family
 from bzfc.sets import (Atom, ClassicalFn, Nat, NCSet, Pair, Tag,
                        parse_element, parse_ncset, render_ncset)
 from bzfc.truth import B, F, N, T, conj, disj, neg
@@ -27,17 +28,6 @@ def ncsets(draw, pool=POOL):
         if status != "-":
             parts[status].add(element)
     return NCSet(parts["b"], parts["t"], parts["n"])
-
-
-def two_atom_family():
-    family = []
-    for s1, s2 in itertools.product("-btn", repeat=2):
-        parts = {"b": set(), "t": set(), "n": set()}
-        for atom, status in ((A_, s1), (B_, s2)):
-            if status != "-":
-                parts[status].add(atom)
-        family.append(NCSet(parts["b"], parts["t"], parts["n"]))
-    return family
 
 
 FAMILY = two_atom_family()
