@@ -100,8 +100,6 @@ def _compile(f: fm.Formula, model: Model | None, scope: Sequence[str]) -> Compil
         return _failing(UnresolvedName, f.name)
     if model is None:
         raise NotPropositional(type(f).__name__)
-    if isinstance(f, fm.RestrictedQuantifier):
-        return _compile(fm._unrestricted(type(f), f.var, f.bound, f.body), model, scope)
     if isinstance(f, fm.Quantifier):
         universe, depth = model.universe, len(scope)
         if not universe:

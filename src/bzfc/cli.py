@@ -32,7 +32,7 @@ from .cardinal import card_of, eval_arith, lattice_dot
 from .checker import DomainValue, Model, evaluate, valid_prop
 from .errors import (BZFCError, GuardError, GuardExceeded, ParseError, UnreadableFile,
                      UnresolvedName, UsageError)
-from .formula import _Parser as _FormulaParser, parse as parse_formula, render
+from .formula import KEYWORDS, parse as parse_formula, render
 from .numerosity import cong_tv, preceq_tv
 from .scan import is_name
 from .sets import Atom, Element, NCSet, parse_elements, parse_ncset
@@ -84,7 +84,7 @@ def _session_line(session: Session, line: str) -> None:
         head, eq, literal = line[end:].partition("=")
         name = head.strip()
         at = end + len(head) - len(head.lstrip())  # where NAME starts
-        if not is_name(name) or name in _FormulaParser.keywords:
+        if not is_name(name) or name in KEYWORDS:
             raise ParseError("expected 'let NAME = <set literal>'", at, frozenset({"NAME"}))
         if not eq:  # then NAME ends the line
             raise ParseError("expected 'let NAME = <set literal>'", len(line), frozenset({"'='"}))

@@ -11,15 +11,19 @@ Concrete syntax (tightest first):
     atoms    x in A   x notin A   x = y   x != y   false   p
     binders  forall x . ...   exists x in A . ...  (body extends right)
 
-``notin`` and ``!=`` parse as the negated atoms.  Restricted binders are
-sugar: ``exists x in A . p`` stands for ``exists x . x in A & p`` and
-``forall x in A . p`` for ``forall x . x in A -> p``; ``parse`` returns
-the desugared tree.  Names starting with a lowercase letter are
-variables, all others constants; a bare name in formula position is a
-propositional letter.
+Each connective and binder class declares its ``symbol`` and its
+``level`` on the ladder above; the parser and the renderer read both
+there.  ``notin`` and ``!=`` parse as the negated atoms.  Restricted
+binders are abbreviations, which the parser writes out (``desugar``):
+``exists x in A . p`` is ``exists x . x in A & p`` and
+``forall x in A . p`` is ``forall x . x in A -> p``.  Names starting
+with a lowercase letter are variables, all others constants; a bare
+name in formula position is a propositional letter.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .errors import GuardExceeded
 from .scan import MAX_NESTING, Cursor
@@ -58,11 +62,14 @@ def term_for(name: str) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# Formulas; each shape of node has one constructor.
+# Formulas; each shape of node has one constructor.  ``level`` is how
+# tightly a node binds: atoms 6, prefix connectives 5, binary ones 4 to 1,
+# binders 0.
 
 
 class Formula(Value):
     __slots__ = ()
+    level = 6
 
 
 class Prop(Formula):
@@ -76,6 +83,7 @@ class Bottom(Formula):
 
 class Unary(Formula):
     __slots__ = ("body",)
+    level = 5
 
     def __init__(self, body: Formula):
         object.__setattr__(self, "body", body)
@@ -101,54 +109,67 @@ class Equality(Formula):
 
 class Neg(Unary):
     __slots__ = ()
+    symbol = "~"
 
 
 class CNeg(Unary):
     __slots__ = ()
+    symbol = "-"
 
 
 class Bang(Unary):
     __slots__ = ()
+    symbol = "!"
 
 
 class Query(Unary):
     __slots__ = ()
+    symbol = "?"
 
 
 class Circ(Unary):
     __slots__ = ()
+    symbol = "o"
 
 
 class Conj(Binary):
     __slots__ = ()
+    symbol, level = "/\\", 4
 
 
 class Amp(Binary):
     __slots__ = ()
+    symbol, level = "&", 4
 
 
 class Disj(Binary):
     __slots__ = ()
+    symbol, level = "\\/", 3
 
 
 class Imp(Binary):
     __slots__ = ()
+    symbol, level = "->", 2
 
 
 class StrongImp(Binary):
     __slots__ = ()
+    symbol, level = "=>", 2
 
 
 class Iff(Binary):
     __slots__ = ()
+    symbol, level = "<->", 1
 
 
 class StrongIff(Binary):
     __slots__ = ()
+    symbol, level = "<=>", 1
 
 
 class Quantifier(Formula):
     __slots__ = ("var", "body")
+    level = 0
 
     def __init__(self, var: str, body: Formula):
         object.__setattr__(self, "var", var)
@@ -157,53 +178,25 @@ class Quantifier(Formula):
 
 class Forall(Quantifier):
     __slots__ = ()
+    symbol = "forall"
 
 
 class Exists(Quantifier):
     __slots__ = ()
+    symbol = "exists"
 
 
-class RestrictedQuantifier(Formula):
-    __slots__ = ("var", "bound", "body")
-
-    def __init__(self, var: str, bound: Term, body: Formula):
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "body", body)
+CONNECTIVES = {node.symbol: node for node in (Neg, CNeg, Bang, Query, Circ, Conj, Amp, Disj,
+                                              Imp, StrongImp, Iff, StrongIff, Forall, Exists)}
+# The words that are tokens of their own, so no name can be one of them.
+KEYWORDS = frozenset({"in", "notin", "false", *filter(str.isalpha, CONNECTIVES)})
 
 
-class ForallIn(RestrictedQuantifier):
-    __slots__ = ()
-
-
-class ExistsIn(RestrictedQuantifier):
-    __slots__ = ()
-
-
-_UNARY = {Neg: "~", CNeg: "-", Bang: "!", Query: "?", Circ: "o "}
-_BINARY = {Conj: "/\\", Amp: "&", Disj: "\\/", Imp: "->", StrongImp: "=>",
-           Iff: "<->", StrongIff: "<=>"}
-
-
-def desugar(f: Formula) -> Formula:
-    """Eliminate restricted binders in favor of & and ->."""
-    if isinstance(f, (Prop, Membership, Equality, Bottom)):
-        return f
-    if isinstance(f, Unary):
-        return type(f)(desugar(f.body))
-    if isinstance(f, Binary):
-        return type(f)(desugar(f.left), desugar(f.right))
-    if isinstance(f, Quantifier):
-        return type(f)(f.var, desugar(f.body))
-    if isinstance(f, RestrictedQuantifier):
-        return _unrestricted(type(f), f.var, f.bound, desugar(f.body))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _unrestricted(kind: type, var: str, bound: Term, body: Formula) -> Formula:
-    """The restricted binder ``kind`` written out over a desugared body."""
+def desugar(kind: type, var: str, bound: Term, body: Formula) -> Formula:
+    """The restricted binder ``kind var in bound . body`` written out:
+    ``kind`` is Forall (over ->) or Exists (over &)."""
     member = Membership(Var(var), bound)
-    return Forall(var, Imp(member, body)) if kind is ForallIn else Exists(var, Amp(member, body))
+    return Forall(var, Imp(member, body)) if kind is Forall else Exists(var, Amp(member, body))
 
 
 def prop_letters(f: Formula) -> tuple[str, ...]:
@@ -216,7 +209,7 @@ def prop_letters(f: Formula) -> tuple[str, ...]:
         elif isinstance(g, Binary):
             walk(g.left)
             walk(g.right)
-        elif isinstance(g, (Unary, Quantifier, RestrictedQuantifier)):
+        elif isinstance(g, (Unary, Quantifier)):
             walk(g.body)
 
     walk(f)
@@ -224,62 +217,37 @@ def prop_letters(f: Formula) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Parser (recursive descent following the precedence ladder)
+# Parser (recursive descent, climbing the levels of the connectives)
 
 
 class _Parser(Cursor):
-    symbols = ("<->", "<=>", "->", "=>", "/\\", "\\/", "!=",
-               "~", "-", "!", "?", "(", ")", ".", "=", "&")
-    keywords = frozenset({"in", "notin", "false", "forall", "exists", "o"})
+    symbols = (*(s for s in CONNECTIVES if s not in KEYWORDS), "!=", "(", ")", ".", "=")
+    keywords = KEYWORDS
     what = "formula"
 
-    def formula(self) -> Formula:
-        left = self.implication()
-        if self.kind in ("<->", "<=>"):
-            op = self.advance()
-            right = self.implication()
-            if self.kind in ("<->", "<=>"):
+    def formula(self, level: int = Iff.level) -> Formula:
+        """A formula whose binary connectives outside parentheses and
+        binders are of ``level`` or tighter (precedence climbing)."""
+        left = self.unary()
+        while level <= (node := CONNECTIVES.get(self.kind, Formula)).level < Unary.level:
+            self.advance()
+            if node.level == Imp.level:  # -> and => group right
+                right = self.nested(partial(self.formula, node.level))
+            else:
+                right = self.formula(node.level + 1)
+            left = node(left, right)
+            if node.level == Iff.level == CONNECTIVES.get(self.kind, Formula).level:  # no chains
                 raise self.fail({"')'", "end of input"},
                                 "equivalences do not chain; parenthesize")
-            return Iff(left, right) if op == "<->" else StrongIff(left, right)
-        return left
-
-    def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.kind in ("->", "=>"):
-            op = self.advance()
-            right = self.nested(self.implication)
-            return Imp(left, right) if op == "->" else StrongImp(left, right)
-        return left
-
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
-        while self.kind == "\\/":
-            self.advance()
-            left = Disj(left, self.conjunction())
-        return left
-
-    def conjunction(self) -> Formula:
-        left = self.unary()
-        while self.kind in ("/\\", "&"):
-            op = self.advance()
-            right = self.unary()
-            left = Conj(left, right) if op == "/\\" else Amp(left, right)
         return left
 
     def unary(self) -> Formula:
-        kind = self.kind
-        if kind in ("~", "-", "!", "?", "o"):
-            self.advance()
-            body = self.nested(self.unary)
-            node = {"~": Neg, "-": CNeg, "!": Bang, "?": Query, "o": Circ}[kind]
-            return node(body)
-        if kind in ("forall", "exists"):
-            return self.binder()
-        return self.atom()
-
-    def binder(self) -> Formula:
-        which = self.advance()
+        node = CONNECTIVES.get(self.kind)
+        if node is None or issubclass(node, Binary):
+            return self.atom()
+        self.advance()
+        if issubclass(node, Unary):
+            return node(self.nested(self.unary))
         var = self.expect("name", "variable name")
         bound: Term | None = None
         if self.kind == "in":
@@ -287,9 +255,7 @@ class _Parser(Cursor):
             bound = term_for(self.expect("name", "set name"))
         self.expect(".")
         body = self.nested(self.formula)
-        if bound is None:
-            return Forall(var, body) if which == "forall" else Exists(var, body)
-        return _unrestricted(ForallIn if which == "forall" else ExistsIn, var, bound, body)
+        return node(var, body) if bound is None else desugar(node, var, bound, body)
 
     def atom(self) -> Formula:
         kind = self.kind
@@ -314,7 +280,7 @@ class _Parser(Cursor):
 
 
 def parse(text: str) -> Formula:
-    """Parse and desugar; raises ParseError with position and expectations,
+    """Parse; raises ParseError with position and expectations,
     and GuardExceeded for a formula nested more than MAX_NESTING deep."""
     parser = _Parser(text)
     f = parser.end(parser.formula())
@@ -338,52 +304,39 @@ def _check_depth(f: Formula) -> None:
 # ---------------------------------------------------------------------------
 # Renderer
 
-_PREC = {Forall: 0, Exists: 0, ForallIn: 0, ExistsIn: 0,
-         Iff: 1, StrongIff: 1, Imp: 2, StrongImp: 2, Disj: 3,
-         Conj: 4, Amp: 4, Neg: 5, CNeg: 5, Bang: 5, Query: 5, Circ: 5,
-         Prop: 6, Membership: 6, Equality: 6, Bottom: 6}
-
 
 def render(f: Formula) -> str:
-    """Canonical text with minimal parentheses; parse(render(f)) == desugar(f)."""
+    """Canonical text with minimal parentheses; parse(render(f)) == f."""
     return _render(f, 0)
 
 
-def _render(f: Formula, min_prec: int) -> str:
-    prec = _PREC[type(f)]
-    text = _render_node(f, prec)
-    if prec < min_prec:
-        return f"({text})"
-    return text
+def _render(f: Formula, outer: int) -> str:
+    """``f``, in parentheses if it binds looser than ``outer``."""
+    text = _render_node(f)
+    return f"({text})" if f.level < outer else text
 
 
-def _render_node(f: Formula, prec: int) -> str:
-    if isinstance(f, Prop):
-        return f.name
-    if isinstance(f, Bottom):
-        return "false"
+def _render_node(f: Formula) -> str:
+    if isinstance(f, Binary):
+        # -> and => group right, <-> and <=> do not chain, the rest group left.
+        left = _render(f.left, f.level + (f.level <= Imp.level))
+        right = _render(f.right, f.level + (f.level != Imp.level))
+        return f"{left} {f.symbol} {right}"
+    if isinstance(f, Neg) and isinstance(f.body, Membership):
+        return f"{f.body.left} notin {f.body.right}"
+    if isinstance(f, Neg) and isinstance(f.body, Equality):
+        return f"{f.body.left} != {f.body.right}"
+    if isinstance(f, Unary):
+        space = " " if f.symbol.isalpha() else ""  # o p, not the name op
+        return f.symbol + space + _render(f.body, f.level)
+    if isinstance(f, Quantifier):
+        return f"{f.symbol} {f.var} . {_render(f.body, 0)}"
     if isinstance(f, Membership):
         return f"{f.left} in {f.right}"
     if isinstance(f, Equality):
         return f"{f.left} = {f.right}"
-    if isinstance(f, Neg):
-        if isinstance(f.body, Membership):
-            return f"{f.body.left} notin {f.body.right}"
-        if isinstance(f.body, Equality):
-            return f"{f.body.left} != {f.body.right}"
-        return "~" + _render(f.body, prec)
-    if isinstance(f, (CNeg, Bang, Query, Circ)):
-        return _UNARY[type(f)] + _render(f.body, prec)
-    if isinstance(f, (Conj, Amp, Disj)):
-        return f"{_render(f.left, prec)} {_BINARY[type(f)]} {_render(f.right, prec + 1)}"
-    if isinstance(f, (Imp, StrongImp)):
-        return f"{_render(f.left, prec + 1)} {_BINARY[type(f)]} {_render(f.right, prec)}"
-    if isinstance(f, (Iff, StrongIff)):
-        return f"{_render(f.left, prec + 1)} {_BINARY[type(f)]} {_render(f.right, prec + 1)}"
-    if isinstance(f, (Forall, Exists)):
-        word = "forall" if isinstance(f, Forall) else "exists"
-        return f"{word} {f.var} . {_render(f.body, 0)}"
-    if isinstance(f, (ForallIn, ExistsIn)):
-        word = "forall" if isinstance(f, ForallIn) else "exists"
-        return f"{word} {f.var} in {f.bound} . {_render(f.body, 0)}"
+    if isinstance(f, Prop):
+        return f.name
+    if isinstance(f, Bottom):
+        return "false"
     raise TypeError(f"not a formula: {f!r}")

@@ -30,9 +30,9 @@ from .errors import GuardExceeded, ParseError
 NATURAL = re.compile("[0-9]+")
 _T = TypeVar("_T")
 
-# At 100, the formula parser (7 frames a level, the deepest of the
-# grammars) and every recursive walk of what a parser builds stay well
-# inside Python's default recursion limit of 1000.
+# At 100, the formula and arithmetic parsers (4 frames a level, the
+# deepest of the grammars) and every recursive walk of what a parser
+# builds stay well inside Python's default recursion limit of 1000.
 MAX_NESTING = 100
 
 

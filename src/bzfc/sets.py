@@ -73,10 +73,6 @@ class Tag(Element):
         return f"{self.value}@{self.index}"
 
 
-def _element_key(x: Element) -> str:
-    return str(x)
-
-
 # ---------------------------------------------------------------------------
 # Non-classical sets
 
@@ -93,7 +89,7 @@ class NCSet(Value):
         object.__setattr__(self, "npart", frozenset(npart))
         overlap = (self.bpart & self.tpart) | (self.bpart & self.npart) | (self.tpart & self.npart)
         if overlap:
-            raise DisjointnessViolation(min(overlap, key=_element_key))
+            raise DisjointnessViolation(min(overlap, key=str))
 
     @classmethod
     def from_extensions(cls, bang_ext: Iterable[Element], query_ext: Iterable[Element]) -> "NCSet":
@@ -198,7 +194,7 @@ class ClassicalFn:
         return isinstance(other, ClassicalFn) and self.graph == other.graph
 
     def __repr__(self) -> str:
-        rows = ", ".join(f"{k}->{v}" for k, v in sorted(self.graph.items(), key=lambda kv: _element_key(kv[0])))
+        rows = ", ".join(f"{k}->{v}" for k, v in sorted(self.graph.items(), key=lambda kv: str(kv[0])))
         return f"ClassicalFn({{{rows}}})"
 
     @property
@@ -213,7 +209,7 @@ class ClassicalFn:
         membership values of all its preimages."""
         missing = a.realm - self.domain
         if missing:
-            raise DomainError(sorted(missing, key=_element_key))
+            raise DomainError(sorted(missing, key=str))
         joined: dict[Element, TruthValue] = {}
         for x in a.realm:
             y = self.graph[x]

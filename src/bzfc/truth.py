@@ -28,11 +28,6 @@ class TruthValue(Value):
         return self.assertable != self.deniable
 
     @property
-    def is_designated(self) -> bool:
-        """True when the statement is assertable (t or b)."""
-        return self.assertable
-
-    @property
     def letter(self) -> str:
         if self.assertable:
             return "b" if self.deniable else "t"

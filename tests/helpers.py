@@ -31,8 +31,9 @@ _BINARY = (fm.Conj, fm.Amp, fm.Disj, fm.Imp, fm.StrongImp, fm.Iff, fm.StrongIff)
 
 def random_formula(rng: random.Random, depth: int = 4,
                    var_names=("x", "y", "z"), const_names=("A", "B", "c")) -> fm.Formula:
-    """A random formula over the given names; may contain binder sugar
-    and proposition letters.  Meant for parser round-trip tests."""
+    """A random formula over the given names; may contain written-out
+    restricted binders and proposition letters.  Meant for parser
+    round-trip tests."""
     names = list(var_names) + list(const_names)
 
     def term() -> fm.Term:
@@ -62,9 +63,7 @@ def random_formula(rng: random.Random, depth: int = 4,
         if binder == 1:
             return fm.Exists(var, go(d - 1))
         bound = fm.term_for(rng.choice(const_names))
-        if binder == 2:
-            return fm.ForallIn(var, bound, go(d - 1))
-        return fm.ExistsIn(var, bound, go(d - 1))
+        return fm.desugar(fm.Forall if binder == 2 else fm.Exists, var, bound, go(d - 1))
 
     return go(depth)
 
@@ -143,7 +142,7 @@ def expand_defined(f: fm.Formula) -> fm.Formula:
         return fm.Forall(f.var, e(f.body))
     if isinstance(f, fm.Exists):
         return fm.Exists(f.var, e(f.body))
-    return e(fm.desugar(f))
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def _resolve(term: fm.Term, model: Model, bound: dict):
@@ -223,5 +222,5 @@ def sat_neg(f: fm.Formula, model: Model, bound: dict | None = None) -> bool:
 
 
 def truth_value_by_satisfaction(f: fm.Formula, model: Model) -> TruthValue:
-    g = expand_defined(fm.desugar(f))
+    g = expand_defined(f)
     return TruthValue(sat_pos(g, model), sat_neg(g, model))

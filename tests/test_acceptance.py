@@ -90,7 +90,7 @@ def test_criterion_2_propositional_validities():
     ok1, ok2, ok3, witness = check_all()
     assert ok1 and ok2
     assert not ok3 and witness is not None
-    assert not eval_prop(contraposition, witness).is_designated
+    assert not eval_prop(contraposition, witness).assertable
     elapsed = best_time(check_all)
     assert elapsed < 0.001, f"validity checks took {elapsed * 1e3:.3f} ms"
     witness_text = " ".join(f"{k}={v}" for k, v in sorted(witness.items()))

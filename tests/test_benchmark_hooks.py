@@ -45,3 +45,18 @@ def test_cli_binds_the_library_entry_points_it_calls():
     assert cli.evaluate is checker.evaluate
     assert cli.valid_prop is checker.valid_prop
     assert cli.parse_formula is formula.parse
+
+
+def test_parser_writes_out_restricted_binders_through_desugar(monkeypatch):
+    # The tracer's formula.desugar group counts restricted binders only
+    # while the parser calls desugar through the module's global name.
+    from bzfc import formula
+    calls, desugar = [], formula.desugar
+
+    def counting(*args):
+        calls.append(args)
+        return desugar(*args)
+
+    monkeypatch.setattr(formula, "desugar", counting)
+    formula.parse("forall x in A . exists y in B . x = y")
+    assert len(calls) == 2

@@ -127,12 +127,12 @@ class TestEngine:
 
     def test_restricted_binders_without_parsing(self):
         m = model_with({"A": NCSet({a}, {b}, set())})
-        for kind, plain in [(fm.ForallIn, "forall x . x in A -> x = a"),
-                            (fm.ExistsIn, "exists x . x in A & x = a")]:
-            built = kind("x", fm.Const("A"), fm.Equality(fm.Var("x"), fm.Var("a")))
+        for kind, plain in [(fm.Forall, "forall x . x in A -> x = a"),
+                            (fm.Exists, "exists x . x in A & x = a")]:
+            built = fm.desugar(kind, "x", fm.Const("A"), fm.Equality(fm.Var("x"), fm.Var("a")))
             assert evaluate(built, m) == evaluate(parse(plain), m)
-        with pytest.raises(NotPropositional, match="found ForallIn$"):
-            eval_prop(fm.ForallIn("x", fm.Const("A"), fm.Prop("p")), {"p": T})
+        with pytest.raises(NotPropositional, match="found Forall$"):
+            eval_prop(fm.desugar(fm.Forall, "x", fm.Const("A"), fm.Prop("p")), {"p": T})
 
 
 class TestAgainstSatisfactionRecursion:
@@ -194,7 +194,7 @@ class TestValidity:
         f = parse("(p -> q) -> (~q -> ~p)")
         ok, witness = valid_prop(f)
         assert not ok and witness is not None
-        assert not eval_prop(f, witness).is_designated
+        assert not eval_prop(f, witness).assertable
 
     def test_letter_guard(self):
         letters = " \\/ ".join(f"p{i}" for i in range(11))

@@ -457,6 +457,16 @@ class TestSessions:
         assert (code, out, err) == (
             2, "", f"error: {path}:1:5: expected 'let NAME = <set literal>' (expected NAME)\n")
 
+    def test_keyword_atoms_are_members_but_not_names(self, capsys, tmp_path):
+        # An atom named by a formula keyword may be a member or a universe
+        # entry, but no formula can name it.
+        path = tmp_path / "s.session"
+        path.write_text("let A = <{o, in}|{}|{}>\nuniverse o in\n", encoding="utf-8")
+        assert run(capsys, "eval", "forall x . x in A", "--session", str(path)) == (0, "b\n", "")
+        code, out, err = run(capsys, "eval", "o in A", "--session", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_model_binds_realm_atoms(self):
         session = Session(bindings={"A": parse_ncset("<{a}|{}|{}>")})
         model = session_model(session)
@@ -499,6 +509,11 @@ class TestUsage:
     ])
     def test_a_formula_may_start_with_minus(self, capsys, command, text, expected):
         assert run(capsys, command, text) == (0, expected, "")
+
+    def test_a_formula_starting_with_two_minuses_goes_after_double_dash(self, capsys):
+        assert run(capsys, "parse", "--", "--p") == (0, "--p\n", "")
+        code, out, err = run(capsys, "parse", "--p")
+        assert (code, out) == (2, "") and err.startswith("error: bzfc parse")
 
 
 class TestConsoleEntry:

@@ -1,4 +1,4 @@
-"""Concrete syntax: parsing, desugaring, rendering, round trips."""
+"""Concrete syntax: parsing, restricted binders, rendering, round trips."""
 
 import random
 
@@ -8,9 +8,9 @@ from helpers import random_formula
 from bzfc import formula as fm
 from bzfc.errors import ParseError
 from bzfc.formula import (Amp, Bang, Bottom, CNeg, Circ, Conj, Const, Disj,
-                          Equality, Exists, ExistsIn, Forall, ForallIn, Iff,
-                          Imp, Membership, Neg, Prop, Query, StrongIff,
-                          StrongImp, Var, desugar, parse, render)
+                          Equality, Exists, Forall, Iff, Imp, Membership, Neg,
+                          Prop, Query, StrongIff, StrongImp, Var, desugar, parse,
+                          render)
 
 x, y = Var("x"), Var("y")
 A = Const("A")
@@ -107,30 +107,9 @@ class TestParsing:
 
 class TestDesugaring:
     def test_desugar_restricted(self):
-        sugar = ExistsIn("x", A, Equality(x, y))
-        assert desugar(sugar) == Exists("x", Amp(Membership(x, A), Equality(x, y)))
-        sugar2 = ForallIn("x", A, Bottom())
-        assert desugar(sugar2) == Forall("x", Imp(Membership(x, A), Bottom()))
-
-    def test_parsed_trees_are_sugar_free(self):
-        rng = random.Random(20)
-        texts = ["forall x in A . exists y in B . x = y",
-                 "~ forall x in A . x notin B"]
-        texts += [render(random_formula(rng)) for _ in range(200)]
-        for text in texts:
-            assert _sugar_free(parse(text))
-
-
-def _sugar_free(f) -> bool:
-    if isinstance(f, (ForallIn, ExistsIn)):
-        return False
-    if isinstance(f, (Neg, CNeg, Bang, Query, Circ)):
-        return _sugar_free(f.body)
-    if isinstance(f, (Conj, Amp, Disj, Imp, StrongImp, Iff, StrongIff)):
-        return _sugar_free(f.left) and _sugar_free(f.right)
-    if isinstance(f, (Forall, Exists)):
-        return _sugar_free(f.body)
-    return True
+        got = desugar(Exists, "x", A, Equality(x, y))
+        assert got == Exists("x", Amp(Membership(x, A), Equality(x, y)))
+        assert desugar(Forall, "x", A, Bottom()) == Forall("x", Imp(Membership(x, A), Bottom()))
 
 
 class TestRendering:
@@ -155,7 +134,7 @@ class TestRendering:
         rng = random.Random(7)
         for _ in range(1000):
             f = random_formula(rng)
-            assert parse(render(f)) == desugar(f)
+            assert parse(render(f)) == f
 
     def test_round_trip_is_identity_on_parsed_trees(self):
         rng = random.Random(8)

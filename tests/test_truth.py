@@ -59,7 +59,7 @@ class TestInhabitants:
 
     def test_classical_and_designated(self):
         assert {v.letter for v in ALL_VALUES if v.is_classical} == {"t", "f"}
-        assert {v.letter for v in ALL_VALUES if v.is_designated} == {"t", "b"}
+        assert {v.letter for v in ALL_VALUES if v.assertable} == {"t", "b"}
 
     def test_letter_round_trip(self):
         for v in ALL_VALUES:
