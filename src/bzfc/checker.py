@@ -8,11 +8,19 @@ is the one deliberate departure from the intended class-sized domain.
 One engine serves ``evaluate``, ``eval_prop`` and ``valid_prop``.
 ``_compile`` turns a formula, once per call, into nested closures over an
 environment indexed by slot: letter i takes slot i, and a bound variable
-the slot of its binder depth.  Each connective is a table over the four
-truth values, built from ``truth``; each name is looked up once, so an
-atom with no bound variable is computed outside every quantifier loop.
-An unresolved name or an empty universe raises only when evaluation
-reaches it, in the order a walk of the tree would meet it.
+the slot of its binder depth, where it holds the bound universe entry.
+Each connective is a table over the four truth values, built from
+``truth``; each name is looked up once.  An atom is computed when it is
+compiled if it reads no bound variable, and tabulated over the universe
+if it reads one (``x in A``, ``a = x``, ``x in x``): a set's three parts
+fix its truth value for each entry, so one row of |U| values serves all
+|U|^d instances of the quantifiers above it.  Only an atom over two
+distinct bound variables is computed per instance; no table outgrows
+the universe.  A quantifier nest whose innermost body would run more
+than 4^10 times (``MAX_INSTANCES``, the assignments ``valid_prop`` runs at
+its letter limit) is refused.  An unresolved name, an empty universe or
+a nest past the limit raises only when evaluation reaches it, in the
+order a walk of the tree would meet it.
 ``valid_prop`` calls the compiled formula on each of the 4^k assignments.
 """
 
@@ -32,6 +40,7 @@ DomainValue = Union[Element, NCSet]
 Compiled = Callable[[Any], TruthValue]
 
 MAX_PROP_LETTERS = 10
+MAX_INSTANCES = 4 ** MAX_PROP_LETTERS
 
 _UNARY = {kind: {x: op(x) for x in ALL_VALUES} for kind, op in {
     fm.Neg: neg, fm.CNeg: cneg, fm.Bang: bang, fm.Query: query, fm.Circ: circ}.items()}
@@ -104,6 +113,11 @@ def _compile(f: fm.Formula, model: Model | None, scope: Sequence[str]) -> Compil
         universe, depth = model.universe, len(scope)
         if not universe:
             return _failing(EmptyUniverse)
+        size, nest = len(universe), depth + 1
+        if size ** nest > MAX_INSTANCES:
+            return _failing(GuardExceeded,
+                            f"{nest} nested quantifiers over {size} universe entries would need "
+                            f"{size}**{nest} instances (limit 4**{MAX_PROP_LETTERS})")
         body = _compile(f.body, model, (*scope, f.var))
         # forall is the /\ of its instances and exists their \/.
         table, start = (_BINARY[fm.Conj], T) if isinstance(f, fm.Forall) else (_BINARY[fm.Disj], F)
@@ -125,24 +139,29 @@ def _compile(f: fm.Formula, model: Model | None, scope: Sequence[str]) -> Compil
 
 def _atom(relate: Callable[[DomainValue, DomainValue], TruthValue],
           f: fm.Membership | fm.Equality, model: Model, scope: Sequence[str]) -> Compiled:
-    """``relate`` on the values of the atom's terms, computed here when
-    both are constants."""
-    named = model.env
-    if all(_slot(scope, t.name) is None and t.name in named for t in (f.left, f.right)):
-        value = relate(named[f.left.name], named[f.right.name])
-        return lambda env: value
-    left, right = _term(f.left.name, model, scope), _term(f.right.name, model, scope)
-    return lambda env: relate(left(env), right(env))
+    """``relate`` on the values of the atom's terms: computed here when
+    both are constants, tabulated over the universe when they read one
+    bound variable, and computed per instance when they read two."""
+    terms = f.left.name, f.right.name
+    left, right = slots = [_slot(scope, name) for name in terms]
+    for name, slot in zip(terms, slots):
+        if slot is None and name not in model.env:
+            return _failing(UnresolvedName, name)
+    if None not in slots and left != right:
+        return lambda env: relate(env[left], env[right])
 
+    def at(u: DomainValue | None) -> TruthValue:
+        return relate(model.env[terms[0]] if left is None else u,
+                      model.env[terms[1]] if right is None else u)
 
-def _term(name: str, model: Model, scope: Sequence[str]) -> Callable[[Any], DomainValue]:
-    slot = _slot(scope, name)
-    if slot is not None:
-        return itemgetter(slot)
-    if name in model.env:
-        value = model.env[name]
+    slot = right if left is None else left
+    if slot is None:
+        value = at(None)
         return lambda env: value
-    return _failing(UnresolvedName, name)
+    # Keyed by identity: a slot only ever holds one of these very entries,
+    # and ``id`` skips the Python-level ``Value.__hash__``.
+    row = {id(u): at(u) for u in model.universe}
+    return lambda env: row[id(env[slot])]
 
 
 def _slot(scope: Sequence[str], name: str) -> int | None:

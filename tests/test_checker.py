@@ -7,6 +7,7 @@ import random
 import pytest
 
 from helpers import random_closed_formula, random_model, truth_value_by_satisfaction
+from bzfc import checker
 from bzfc import formula as fm
 from bzfc.checker import Model, eval_prop, evaluate, valid_prop
 from bzfc.cli import main
@@ -134,6 +135,51 @@ class TestEngine:
         with pytest.raises(NotPropositional, match="found Forall$"):
             eval_prop(fm.desugar(fm.Forall, "x", fm.Const("A"), fm.Prop("p")), {"p": T})
 
+    def test_one_variable_atoms_are_tabulated(self, monkeypatch):
+        # An atom over one bound variable takes one member_tv call per
+        # universe entry (2 rows of 6), not one per instance (2 x 36).
+        calls = []
+        member_tv = NCSet.member_tv
+        monkeypatch.setattr(NCSet, "member_tv", lambda s, x: calls.append(x) or member_tv(s, x))
+        atoms = [Atom(name) for name in "abcdef"]
+        m = Model(atoms, {"A": NCSet({atoms[0]}, atoms[1:], ())})
+        assert evaluate(parse("forall x . forall y . x in A /\\ y in A"), m) == B
+        assert len(calls) <= 12
+
+
+class TestInstanceGuard:
+    """A quantifier nest whose body would run more than 4**10 times is a
+    guard violation, raised when evaluation reaches it."""
+
+    TOO_DEEP = "forall x . " * 11 + "x in A"
+
+    def test_library_raises(self):
+        m = model_with({"A": NCSet({a}, {b}, set())}, universe=[a, b, c, Atom("d")])
+        message = r"^11 nested quantifiers over 4 universe entries would need 4\*\*11 instances \(limit 4\*\*10\)$"
+        with pytest.raises(GuardExceeded, match=message):
+            evaluate(parse(self.TOO_DEEP), m)
+
+    @pytest.mark.parametrize("size, admitted", [(4, 2), (2, 4), (16, 1)])
+    def test_limit_admits_exactly_max_instances(self, monkeypatch, size, admitted):
+        monkeypatch.setattr(checker, "MAX_INSTANCES", 16)
+        m = Model([Atom(str(i)) for i in range(size)])
+        assert evaluate(parse("forall x . " * admitted + "false"), m) == F
+        with pytest.raises(GuardExceeded):
+            evaluate(parse("forall x . " * (admitted + 1) + "false"), m)
+
+    @pytest.mark.parametrize("text, code", [
+        (TOO_DEEP, 4),
+        ("Q in A /\\ " + TOO_DEEP, 3),
+        (f"({TOO_DEEP}) /\\ Q in A", 4),
+    ])
+    def test_exit_codes_in_evaluation_order(self, capsys, tmp_path, text, code):
+        session = tmp_path / "s.session"
+        session.write_text("universe a b c d\nlet A = <{a}|{b}|{}>\n")
+        assert main(["eval", text, "--session", str(session)]) == code
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert ("4**11 instances" in err) == (code == 4)
+
 
 class TestAgainstSatisfactionRecursion:
     def test_random_formulas_and_models(self):
@@ -172,6 +218,27 @@ class TestAgainstSatisfactionRecursion:
             m = random_model(rng)
             for lhs, rhs in templates:
                 assert evaluate(parse(lhs), m) == evaluate(parse(rhs), m), (lhs, rhs)
+
+    def test_rows_on_edge_models(self):
+        # Rows keyed by universe entry: an entry listed twice, as one
+        # object and as an equal copy; a named atom outside the universe;
+        # sets as entries on either side of ``in`` and ``=``.
+        big_a, big_b = NCSet({a}, {b}, {c}), NCSet(set(), {a, b}, set())
+        env = {"a": a, "d": Atom("d"), "A": big_a, "B": big_b}
+        models = [Model([a, Atom("a"), b, big_a], env),
+                  Model([a, a, big_a, big_b, NCSet({a}, {b}, {c})], env),
+                  Model([big_a, big_b], env)]
+        prefixes = ("forall x . ", "exists x . ", "forall x . exists y . ", "exists x . forall y . ")
+        checked = 0
+        for m, prefix in itertools.product(models, prefixes):
+            for left, op, right in itertools.product("xyadAB", ("in", "="), "xyadAB"):
+                if "y" in (left, right) and "y" not in prefix:
+                    continue
+                for body in (f"{left} {op} {right}", f"~({left} {op} {right}) \\/ x in B"):
+                    f = parse(prefix + body)
+                    assert evaluate(f, m) == truth_value_by_satisfaction(f, m), (m, prefix + body)
+                    checked += 1
+        assert checked == 3 * 2 * 2 * (2 * 25 + 2 * 36)
 
     def test_connective_homomorphism(self):
         rng = random.Random(14)

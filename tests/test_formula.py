@@ -131,13 +131,8 @@ class TestRendering:
         assert render(parse("x != y")) == "x != y"
 
     def test_round_trip_on_random_formulas(self):
-        rng = random.Random(7)
-        for _ in range(1000):
-            f = random_formula(rng)
-            assert parse(render(f)) == f
-
-    def test_round_trip_is_identity_on_parsed_trees(self):
-        rng = random.Random(8)
-        for _ in range(300):
-            f = parse(render(random_formula(rng)))
-            assert parse(render(f)) == f
+        for seed, count in ((7, 1000), (8, 300)):
+            rng = random.Random(seed)
+            for _ in range(count):
+                f = random_formula(rng)
+                assert parse(render(f)) == f
