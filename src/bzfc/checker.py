@@ -12,15 +12,16 @@ the slot of its binder depth, where it holds the bound universe entry.
 Each connective is a table over the four truth values, built from
 ``truth``; each name is looked up once.  An atom is computed when it is
 compiled if it reads no bound variable, and tabulated over the universe
-if it reads one (``x in A``, ``a = x``, ``x in x``): a set's three parts
+if it reads one (``x in A``, ``a = x``, ``x in x``): a set's two extensions
 fix its truth value for each entry, so one row of |U| values serves all
 |U|^d instances of the quantifiers above it.  Only an atom over two
 distinct bound variables is computed per instance; no table outgrows
 the universe.  A quantifier nest whose innermost body would run more
 than 4^10 times (``MAX_INSTANCES``, the assignments ``valid_prop`` runs at
 its letter limit) is refused.  An unresolved name, an empty universe or
-a nest past the limit raises only when evaluation reaches it, in the
-order a walk of the tree would meet it.
+a nest past the limit raises as it is compiled: no connective
+short-circuits and each quantifier runs its body, so the first one a
+walk of the tree meets is the first one evaluation would meet.
 ``valid_prop`` calls the compiled formula on each of the 4^k assignments.
 """
 
@@ -106,18 +107,17 @@ def _compile(f: fm.Formula, model: Model | None, scope: Sequence[str]) -> Compil
             if slot is None:
                 raise KeyError(f.name)
             return itemgetter(slot)
-        return _failing(UnresolvedName, f.name)
+        raise UnresolvedName(f.name)
     if model is None:
         raise NotPropositional(type(f).__name__)
     if isinstance(f, fm.Quantifier):
         universe, depth = model.universe, len(scope)
         if not universe:
-            return _failing(EmptyUniverse)
+            raise EmptyUniverse()
         size, nest = len(universe), depth + 1
         if size ** nest > MAX_INSTANCES:
-            return _failing(GuardExceeded,
-                            f"{nest} nested quantifiers over {size} universe entries would need "
-                            f"{size}**{nest} instances (limit 4**{MAX_PROP_LETTERS})")
+            raise GuardExceeded(f"{nest} nested quantifiers over {size} universe entries would need "
+                                f"{size}**{nest} instances (limit 4**{MAX_PROP_LETTERS})")
         body = _compile(f.body, model, (*scope, f.var))
         # forall is the /\ of its instances and exists their \/.
         table, start = (_BINARY[fm.Conj], T) if isinstance(f, fm.Forall) else (_BINARY[fm.Disj], F)
@@ -146,7 +146,7 @@ def _atom(relate: Callable[[DomainValue, DomainValue], TruthValue],
     left, right = slots = [_slot(scope, name) for name in terms]
     for name, slot in zip(terms, slots):
         if slot is None and name not in model.env:
-            return _failing(UnresolvedName, name)
+            raise UnresolvedName(name)
     if None not in slots and left != right:
         return lambda env: relate(env[left], env[right])
 
@@ -167,13 +167,6 @@ def _atom(relate: Callable[[DomainValue, DomainValue], TruthValue],
 def _slot(scope: Sequence[str], name: str) -> int | None:
     """The slot of the innermost binding of ``name``, or None."""
     return max((slot for slot, bound in enumerate(scope) if bound == name), default=None)
-
-
-def _failing(error: type, *args: str) -> Compiled:
-    """A closure that raises ``error(*args)`` once evaluation reaches it."""
-    def fail(env: Any) -> TruthValue:
-        raise error(*args)
-    return fail
 
 
 def _member(x: DomainValue, s: DomainValue) -> TruthValue:

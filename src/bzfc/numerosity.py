@@ -16,7 +16,9 @@ from .truth import TruthValue
 
 
 def part_sizes(a: NCSet) -> tuple[int, int, int]:
-    return (len(a.tpart), len(a.bpart), len(a.npart))
+    """The (t, b, n) part sizes, from one intersection of the extensions."""
+    t = len(a.bang_ext & a.query_ext)
+    return (t, len(a.bang_ext) - t, len(a.query_ext) - t)
 
 
 def same_size(x: tuple, y: tuple) -> TruthValue:

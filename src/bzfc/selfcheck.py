@@ -55,15 +55,20 @@ def two_atom_family() -> list[NCSet]:
     return family
 
 
+def _check_oracle(result: SuiteResult, a: NCSet, b: NCSet) -> None:
+    """Closed forms vs. counting search on one pair."""
+    result.count(numerosity.cong_tv(a, b) == oracle.cong_brute(a, b),
+                 f"cong mismatch: {a} vs {b}")
+    result.count(numerosity.preceq_tv(a, b) == oracle.preceq_brute(a, b),
+                 f"preceq mismatch: {a} vs {b}")
+
+
 def suite_oracle_exhaustive() -> SuiteResult:
     """Closed forms vs. counting search on every pair over two atoms."""
     result = SuiteResult("oracle-exhaustive")
     family = two_atom_family()
     for a, b in itertools.product(family, repeat=2):
-        result.count(numerosity.cong_tv(a, b) == oracle.cong_brute(a, b),
-                     f"cong mismatch: {a} vs {b}")
-        result.count(numerosity.preceq_tv(a, b) == oracle.preceq_brute(a, b),
-                     f"preceq mismatch: {a} vs {b}")
+        _check_oracle(result, a, b)
     return result
 
 
@@ -73,10 +78,7 @@ def suite_oracle_random(rng: random.Random, cases: int) -> SuiteResult:
     for _ in range(cases):
         a = random_ncset(rng, oracle.MAX_REALM_SIZE)
         b = random_ncset(rng, oracle.MAX_REALM_SIZE)
-        result.count(numerosity.cong_tv(a, b) == oracle.cong_brute(a, b),
-                     f"cong mismatch: {a} vs {b}")
-        result.count(numerosity.preceq_tv(a, b) == oracle.preceq_brute(a, b),
-                     f"preceq mismatch: {a} vs {b}")
+        _check_oracle(result, a, b)
     return result
 
 

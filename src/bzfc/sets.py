@@ -1,10 +1,13 @@
 """Finite non-classical sets.
 
-An ``NCSet`` is determined by three pairwise-disjoint classical parts:
-the elements whose membership is both true and false (``bpart``), just
-true (``tpart``), and neither (``npart``).  Everything not in any part
-is plainly a non-member.  Realm elements are ``Element`` values with
-ordinary structural identity; sets never contain other sets here.
+An ``NCSet`` is stored as its two classical extensions: the elements
+whose membership is true (``bang_ext``) and those whose membership is
+not false (``query_ext``).  Any two classical sets make a set, so each
+set operation is two classical ones.  The three disjoint parts, both
+true and false (``bpart``), just true (``tpart``) and neither
+(``npart``), are derived; disjointness is checked only where parts come
+in.  Realm elements are ``Element`` values with ordinary structural
+identity; sets never contain other sets here.
 
 The module also provides classical (single-valued) functions between
 elements, images of sets under them, and the text literal syntax
@@ -17,7 +20,7 @@ from typing import Iterable, Mapping
 
 from .errors import DisjointnessViolation, DomainError
 from .scan import Cursor
-from .truth import B, F, N, T, TruthValue, conj, disj
+from .truth import B, F, N, T, TruthValue
 from .value import Value
 
 
@@ -78,48 +81,54 @@ class Tag(Element):
 
 
 class NCSet(Value):
-    """A finite set with four-valued membership, given by its three parts."""
+    """A finite set with four-valued membership, stored as its two extensions."""
 
-    __slots__ = ("bpart", "tpart", "npart")
+    __slots__ = ("bang_ext", "query_ext")
 
     def __init__(self, bpart: Iterable[Element] = (), tpart: Iterable[Element] = (),
                  npart: Iterable[Element] = ()):
-        object.__setattr__(self, "bpart", frozenset(bpart))
-        object.__setattr__(self, "tpart", frozenset(tpart))
-        object.__setattr__(self, "npart", frozenset(npart))
-        overlap = (self.bpart & self.tpart) | (self.bpart & self.npart) | (self.tpart & self.npart)
+        bpart, tpart, npart = frozenset(bpart), frozenset(tpart), frozenset(npart)
+        overlap = (bpart & tpart) | (bpart & npart) | (tpart & npart)
         if overlap:
             raise DisjointnessViolation(min(overlap, key=str))
+        object.__setattr__(self, "bang_ext", bpart | tpart)
+        object.__setattr__(self, "query_ext", tpart | npart)
 
     @classmethod
     def from_extensions(cls, bang_ext: Iterable[Element], query_ext: Iterable[Element]) -> "NCSet":
         """Build the unique set with the given !-extension and ?-extension."""
-        x, y = frozenset(bang_ext), frozenset(query_ext)
-        return cls(bpart=x - y, tpart=x & y, npart=y - x)
+        a = object.__new__(cls)
+        object.__setattr__(a, "bang_ext", frozenset(bang_ext))
+        object.__setattr__(a, "query_ext", frozenset(query_ext))
+        return a
+
+    def __reduce__(self) -> tuple:
+        return self.from_extensions, (self.bang_ext, self.query_ext)
 
     @property
-    def bang_ext(self) -> frozenset[Element]:
-        """The !-extension: elements whose membership is true."""
-        return self.bpart | self.tpart
+    def bpart(self) -> frozenset[Element]:
+        """Elements whose membership is both true and false."""
+        return self.bang_ext - self.query_ext
 
     @property
-    def query_ext(self) -> frozenset[Element]:
-        """The ?-extension: elements whose membership is not false."""
-        return self.tpart | self.npart
+    def tpart(self) -> frozenset[Element]:
+        """Elements whose membership is just true."""
+        return self.bang_ext & self.query_ext
+
+    @property
+    def npart(self) -> frozenset[Element]:
+        """Elements whose membership is neither true nor false."""
+        return self.query_ext - self.bang_ext
 
     @property
     def realm(self) -> frozenset[Element]:
         """The smallest classical set containing this one."""
-        return self.bpart | self.tpart | self.npart
+        return self.bang_ext | self.query_ext
 
     def member_tv(self, x: Element) -> TruthValue:
-        if x in self.tpart:
-            return T
-        if x in self.bpart:
-            return B
-        if x in self.npart:
-            return N
-        return F
+        if x in self.bang_ext:
+            return T if x in self.query_ext else B
+        return N if x in self.query_ext else F
 
     def subset_tv(self, other: "NCSet") -> TruthValue:
         return TruthValue(
@@ -149,26 +158,17 @@ class NCSet(Value):
                                      self.query_ext - other.bang_ext)
 
     def product(self, other: "NCSet") -> "NCSet":
-        """Cartesian product: membership of (x,y) is the conjunction."""
-        bp, tp, np = set(), set(), set()
-        for x in self.realm:
-            for y in other.realm:
-                tv = conj(self.member_tv(x), other.member_tv(y))
-                if tv == B:
-                    bp.add(Pair(x, y))
-                elif tv == T:
-                    tp.add(Pair(x, y))
-                elif tv == N:
-                    np.add(Pair(x, y))
-        return NCSet(bp, tp, np)
+        """Cartesian product: membership of (x,y) is the conjunction, so
+        (x,y) is a member when both are and a possible member when both are."""
+        return NCSet.from_extensions(
+            {Pair(x, y) for x in self.bang_ext for y in other.bang_ext},
+            {Pair(x, y) for x in self.query_ext for y in other.query_ext})
 
     def disjoint_union(self, other: "NCSet") -> "NCSet":
         """Tagged sum: x@0 carries membership in self, y@1 in other."""
-        return NCSet(
-            bpart={Tag(x, 0) for x in self.bpart} | {Tag(y, 1) for y in other.bpart},
-            tpart={Tag(x, 0) for x in self.tpart} | {Tag(y, 1) for y in other.tpart},
-            npart={Tag(x, 0) for x in self.npart} | {Tag(y, 1) for y in other.npart},
-        )
+        return NCSet.from_extensions(
+            {Tag(x, 0) for x in self.bang_ext} | {Tag(y, 1) for y in other.bang_ext},
+            {Tag(x, 0) for x in self.query_ext} | {Tag(y, 1) for y in other.query_ext})
 
     def __str__(self) -> str:
         return render_ncset(self)
@@ -206,18 +206,14 @@ class ClassicalFn:
 
     def image(self, a: NCSet) -> NCSet:
         """The image set: membership of an output is the join of the
-        membership values of all its preimages."""
+        membership values of all its preimages, so it is true when some
+        preimage's is and false when every preimage's is."""
         missing = a.realm - self.domain
         if missing:
             raise DomainError(sorted(missing, key=str))
-        joined: dict[Element, TruthValue] = {}
-        for x in a.realm:
-            y = self.graph[x]
-            joined[y] = disj(joined.get(y, F), a.member_tv(x))
-        bp = {y for y, tv in joined.items() if tv == B}
-        tp = {y for y, tv in joined.items() if tv == T}
-        np = {y for y, tv in joined.items() if tv == N}
-        return NCSet(bp, tp, np)
+        graph = self.graph
+        return NCSet.from_extensions({graph[x] for x in a.bang_ext},
+                                     {graph[x] for x in a.query_ext})
 
 
 # ---------------------------------------------------------------------------

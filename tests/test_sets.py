@@ -258,6 +258,84 @@ class TestImages:
         assert got.query_ext == ({Atom("lump")} if s.query_ext else frozenset())
 
 
+THREE = (A_, B_, C_)
+
+
+def three_atom_family() -> list[tuple[tuple[frozenset, ...], NCSet]]:
+    """The 64 sets whose realm lies in {a, b, c}, each with its parts."""
+    family = []
+    for places in itertools.product("-btn", repeat=3):
+        parts = tuple(frozenset(x for x, place in zip(THREE, places) if place == part)
+                      for part in "btn")
+        family.append((parts, NCSet(*parts)))
+    return family
+
+
+class TestAgainstPointwiseDefinitions:
+    """Every set over three atoms against the definitions element by
+    element: an image takes the join of its preimages' values, a product
+    the meet of its coordinates' values, and a tagged sum each copy's."""
+
+    FAMILY3 = three_atom_family()
+    SETS3 = [s for _, s in FAMILY3]
+
+    def test_parts_and_extensions_give_the_same_set(self):
+        for (bp, tp, np), s in self.FAMILY3:
+            twin = NCSet.from_extensions(bp | tp, tp | np)
+            assert twin == s and hash(twin) == hash(s)
+            for built in (s, twin):
+                assert (built.bpart, built.tpart, built.npart) == (bp, tp, np)
+
+    def test_image_is_the_join_over_preimages(self):
+        codomain = (Atom("p"), Atom("q"))
+        for targets in itertools.product(codomain, repeat=len(THREE)):
+            f = ClassicalFn(zip(THREE, targets))
+            for a in self.SETS3:
+                joined = {}
+                for x in a.realm:
+                    joined[f(x)] = disj(joined.get(f(x), F), a.member_tv(x))
+                got = f.image(a)
+                assert got.realm <= set(codomain)
+                for y in codomain:
+                    assert got.member_tv(y) == joined.get(y, F)
+
+    def test_product_is_the_meet_per_pair(self):
+        pairs = {Pair(x, y) for x in THREE for y in THREE}
+        for a, b in itertools.product(self.SETS3, repeat=2):
+            got = a.product(b)
+            assert got.realm <= pairs
+            for x, y in itertools.product(THREE, repeat=2):
+                assert got.member_tv(Pair(x, y)) == conj(a.member_tv(x), b.member_tv(y))
+
+    def test_disjoint_union_keeps_each_tag(self):
+        tags = {Tag(x, i) for x in THREE for i in (0, 1)}
+        for a, b in itertools.product(self.SETS3, repeat=2):
+            got = a.disjoint_union(b)
+            assert got.realm <= tags
+            for x in THREE:
+                assert got.member_tv(Tag(x, 0)) == a.member_tv(x)
+                assert got.member_tv(Tag(x, 1)) == b.member_tv(x)
+
+
+def test_only_the_edges_take_parts(monkeypatch):
+    # Operations build their results from extensions; only the parts
+    # constructor, which checks disjointness, runs ``NCSet.__init__``.
+    a, b = NCSet({A_}, {B_}, {C_}), NCSet({B_}, {C_}, {D_})
+    f = ClassicalFn({x: A_ for x in POOL})
+    calls, init = [], NCSet.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(NCSet, "__init__", counting)
+    results = [f.image(a), a.union(b), a.intersection(b), a.difference(b),
+               a.product(b), a.disjoint_union(b)]
+    assert calls == [] and all(isinstance(r, NCSet) for r in results)
+    NCSet({A_})
+    assert len(calls) == 1
+
+
 class TestLiterals:
     def test_three_part(self):
         assert parse_ncset("<{a,b}|{c}|{d}>") == NCSet({A_, B_}, {C_}, {D_})
