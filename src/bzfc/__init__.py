@@ -18,7 +18,7 @@ _EXPORTS = {
     "checker": ("Model", "eval_prop", "evaluate", "valid_prop"),
     "formula": ("Formula", "desugar", "parse", "render"),
     "numerosity": ("cong_tv", "preceq_tv"),
-    "oracle": ("PebblePool", "cong_brute", "enumerate_countings", "preceq_brute"),
+    "oracle": ("cong_brute", "enumerate_countings", "preceq_brute"),
     "parareal": ("ParaReal",),
     "sets": ("Atom", "ClassicalFn", "Element", "EMPTY", "Nat", "NCSet", "Pair", "Tag",
              "parse_element", "parse_ncset", "render_ncset"),

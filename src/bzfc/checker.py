@@ -16,10 +16,12 @@ if it reads one (``x in A``, ``a = x``, ``x in x``): a set's two extensions
 fix its truth value for each entry, so one row of |U| values serves all
 |U|^d instances of the quantifiers above it.  Only an atom over two
 distinct bound variables is computed per instance; no table outgrows
-the universe.  A quantifier nest whose innermost body would run more
-than 4^10 times (``MAX_INSTANCES``, the assignments ``valid_prop`` runs at
-its letter limit) is refused.  An unresolved name, an empty universe or
-a nest past the limit raises as it is compiled: no connective
+the universe.  One budget, ``MAX_WORK``, bounds the work: as it is
+compiled, before its children, each node is charged the times it will
+run (4^k under ``valid_prop``, |U|^d below d binders, once under
+``eval_prop``), times the printed length of the longest entry for an
+atom computed per instance, which compares two.  An unresolved name, an
+empty universe or work past the limit raises as it is compiled: no connective
 short-circuits and each quantifier runs its body, so the first one a
 walk of the tree meets is the first one evaluation would meet.
 ``valid_prop`` calls the compiled formula on each of the 4^k assignments.
@@ -40,9 +42,9 @@ from .value import Value
 DomainValue = Union[Element, NCSet]
 Compiled = Callable[[Any], TruthValue]
 
-MAX_PROP_LETTERS = 10
-MAX_INSTANCES = 4 ** MAX_PROP_LETTERS
+MAX_WORK = 2 ** 23  # node runs; the slowest shape takes about 4 s on a 2-core VM (README)
 
+_ATOMS = (fm.Membership, fm.Equality)
 _UNARY = {kind: {x: op(x) for x in ALL_VALUES} for kind, op in {
     fm.Neg: neg, fm.CNeg: cneg, fm.Bang: bang, fm.Query: query, fm.Circ: circ}.items()}
 _BINARY = {kind: {x: {y: op(x, y) for y in ALL_VALUES} for x in ALL_VALUES} for kind, op in {
@@ -63,41 +65,43 @@ class Model(Value):
 
 def evaluate(f: fm.Formula, model: Model) -> TruthValue:
     """The truth value of a closed formula in the model."""
-    return _compile(f, model, ())([])
+    return _compile(f, model, (), 1, [0])([])
 
 
 def eval_prop(f: fm.Formula, assignment: Mapping[str, TruthValue]) -> TruthValue:
     """Evaluate a propositional formula under a letter assignment."""
-    return _compile(f, None, tuple(assignment))(tuple(assignment.values()))
+    return _compile(f, None, tuple(assignment), 1, [0])(tuple(assignment.values()))
 
 
 def valid_prop(f: fm.Formula) -> tuple[bool, dict[str, TruthValue] | None]:
     """Whether f is assertable under every assignment; if not, the first
     one, in ``itertools.product`` order over t, b, n, f, that falsifies it."""
     letters = fm.prop_letters(f)
-    if len(letters) > MAX_PROP_LETTERS:
-        raise GuardExceeded(
-            f"{len(letters)} letters would need 4**{len(letters)} assignments "
-            f"(limit {MAX_PROP_LETTERS})")
-    value = _compile(f, None, letters)
+    value = _compile(f, None, letters, 4 ** len(letters), [0])
     for values in itertools.product(ALL_VALUES, repeat=len(letters)):
         if not value(values).assertable:
             return False, dict(zip(letters, values))
     return True, None
 
 
-def _compile(f: fm.Formula, model: Model | None, scope: Sequence[str]) -> Compiled:
-    """``f`` as a function of the environment.  ``scope`` names the
-    slots; ``model`` is None for a propositional formula, whose letters
-    are the slots."""
+def _compile(f: fm.Formula, model: Model | None, scope: Sequence[str],
+             runs: int, spent: list[int]) -> Compiled:
+    """``f`` as a function of the environment, to be called ``runs``
+    times.  ``scope`` names the slots; ``model`` is None for a
+    propositional formula, whose letters are the slots.  ``spent[0]`` is
+    the work charged so far."""
+    spent[0] += runs * _weight(f, model, scope) if isinstance(f, _ATOMS) else runs
+    if spent[0] > MAX_WORK:
+        raise GuardExceeded(f"the formula needs more than {MAX_WORK:,} node evaluations "
+                            "(the work limit)")
     table = _UNARY.get(type(f))
     if table is not None:
-        body = _compile(f.body, model, scope)
+        body = _compile(f.body, model, scope, runs, spent)
         return lambda env: table[body(env)]
     table = _BINARY.get(type(f))
     if table is not None:
-        left = _compile(f.left, model, scope)
-        right = _compile(f.right, model, scope)
+        left = _compile(f.left, model, scope, runs, spent)
+        right = _compile(f.right, model, scope, runs, spent)
         return lambda env: table[left(env)][right(env)]
     if isinstance(f, fm.Bottom):
         return lambda env: F
@@ -114,11 +118,7 @@ def _compile(f: fm.Formula, model: Model | None, scope: Sequence[str]) -> Compil
         universe, depth = model.universe, len(scope)
         if not universe:
             raise EmptyUniverse()
-        size, nest = len(universe), depth + 1
-        if size ** nest > MAX_INSTANCES:
-            raise GuardExceeded(f"{nest} nested quantifiers over {size} universe entries would need "
-                                f"{size}**{nest} instances (limit 4**{MAX_PROP_LETTERS})")
-        body = _compile(f.body, model, (*scope, f.var))
+        body = _compile(f.body, model, (*scope, f.var), runs * len(universe), spent)
         # forall is the /\ of its instances and exists their \/.
         table, start = (_BINARY[fm.Conj], T) if isinstance(f, fm.Forall) else (_BINARY[fm.Disj], F)
 
@@ -132,7 +132,7 @@ def _compile(f: fm.Formula, model: Model | None, scope: Sequence[str]) -> Compil
             return value
 
         return quantify
-    if isinstance(f, (fm.Membership, fm.Equality)):
+    if isinstance(f, _ATOMS):
         return _atom(_member if isinstance(f, fm.Membership) else _equal, f, model, scope)
     raise TypeError(f"not a formula: {f!r}")
 
@@ -162,6 +162,15 @@ def _atom(relate: Callable[[DomainValue, DomainValue], TruthValue],
     # and ``id`` skips the Python-level ``Value.__hash__``.
     row = {id(u): at(u) for u in model.universe}
     return lambda env: row[id(env[slot])]
+
+
+def _weight(f: fm.Membership | fm.Equality, model: Model | None, scope: Sequence[str]) -> int:
+    """One, or for an atom over two distinct bound variables, which relates two
+    universe entries on each run, the printed length of the longest entry."""
+    left, right = f.left.name, f.right.name
+    if model is None or left == right or left not in scope or right not in scope:
+        return 1
+    return max(len(str(u)) for u in model.universe)
 
 
 def _slot(scope: Sequence[str], name: str) -> int | None:

@@ -94,4 +94,5 @@ class PoolTooSmall(GuardError):
 
 
 class GuardExceeded(GuardError):
-    """A brute-force size guard was exceeded."""
+    """An input passed one of the size or work limits, such as the
+    oracle's realm size or the work budget of a formula."""

@@ -21,32 +21,23 @@ from typing import Iterator, Sequence
 from .errors import GuardExceeded, PoolTooSmall
 from .sets import Atom, ClassicalFn, Element, NCSet
 from .truth import TruthValue
-from .value import Value
 
 MAX_REALM_SIZE = 4
 
 
-class PebblePool(Value):
-    """Fresh atoms, disjoint from the realms they will count."""
-
-    __slots__ = ("atoms",)
-
-    def __init__(self, atoms: tuple[Atom, ...]):
-        object.__setattr__(self, "atoms", atoms)
-
-    @classmethod
-    def for_sets(cls, a: NCSet, b: NCSet, size: int | None = None) -> "PebblePool":
-        taken = a.realm | b.realm
-        if size is None:
-            size = len(a.realm) + len(b.realm)
-        fresh: list[Atom] = []
-        i = 1
-        while len(fresh) < size:
-            candidate = Atom(f"p{i}")
-            if candidate not in taken:
-                fresh.append(candidate)
-            i += 1
-        return cls(tuple(fresh))
+def _pebbles(a: NCSet, b: NCSet, extra: int = 0) -> list[Atom]:
+    """Fresh atoms p1, p2, ... outside both realms: one for each element
+    of the two realms, and ``extra`` more."""
+    taken = a.realm | b.realm
+    size = len(a.realm) + len(b.realm) + extra
+    fresh: list[Atom] = []
+    i = 1
+    while len(fresh) < size:
+        candidate = Atom(f"p{i}")
+        if candidate not in taken:
+            fresh.append(candidate)
+        i += 1
+    return fresh
 
 
 def enumerate_countings(a: NCSet, codomain: Sequence[Element]) -> Iterator[ClassicalFn]:
@@ -68,8 +59,7 @@ def _guard(a: NCSet, b: NCSet) -> None:
 
 def _search(a: NCSet, b: NCSet, relate, extra_pebbles: int) -> TruthValue:
     _guard(a, b)
-    pool = PebblePool.for_sets(a, b, size=len(a.realm) + len(b.realm) + extra_pebbles)
-    codomain = sorted(b.realm, key=str) + list(pool.atoms)
+    codomain = sorted(b.realm, key=str) + _pebbles(a, b, extra_pebbles)
     assertable = False
     deniable = True
     for counting in enumerate_countings(a, codomain):

@@ -147,21 +147,30 @@ class TestEngine:
         assert len(calls) <= 12
 
 
+WORK_ERROR = "error: the formula needs more than 8,388,608 node evaluations (the work limit)"
+
+
+def nest(depth: int, body: str) -> str:
+    return "".join(f"forall x{i} . " for i in range(depth)) + body
+
+
 class TestInstanceGuard:
-    """A quantifier nest whose body would run more than 4**10 times is a
-    guard violation, raised when evaluation reaches it."""
+    """A quantifier nest past the work limit is a guard violation, raised
+    as the formula is compiled: over 5 entries, the body of 11 nested
+    quantifiers would run 5**11 times."""
 
     TOO_DEEP = "forall x . " * 11 + "x in A"
 
     def test_library_raises(self):
-        m = model_with({"A": NCSet({a}, {b}, set())}, universe=[a, b, c, Atom("d")])
-        message = r"^11 nested quantifiers over 4 universe entries would need 4\*\*11 instances \(limit 4\*\*10\)$"
+        m = model_with({"A": NCSet({a}, {b}, set())}, universe=[a, b, c, Atom("d"), Atom("e")])
+        message = r"^the formula needs more than 8,388,608 node evaluations \(the work limit\)$"
         with pytest.raises(GuardExceeded, match=message):
             evaluate(parse(self.TOO_DEEP), m)
 
     @pytest.mark.parametrize("size, admitted", [(4, 2), (2, 4), (16, 1)])
     def test_limit_admits_exactly_max_instances(self, monkeypatch, size, admitted):
-        monkeypatch.setattr(checker, "MAX_INSTANCES", 16)
+        # d nested quantifiers around false run 1 + u + ... + u**d nodes.
+        monkeypatch.setattr(checker, "MAX_WORK", sum(size ** i for i in range(admitted + 1)))
         m = Model([Atom(str(i)) for i in range(size)])
         assert evaluate(parse("forall x . " * admitted + "false"), m) == F
         with pytest.raises(GuardExceeded):
@@ -174,11 +183,69 @@ class TestInstanceGuard:
     ])
     def test_exit_codes_in_evaluation_order(self, capsys, tmp_path, text, code):
         session = tmp_path / "s.session"
-        session.write_text("universe a b c d\nlet A = <{a}|{b}|{}>\n")
+        session.write_text("universe a b c d e\nlet A = <{a}|{b}|{}>\n")
         assert main(["eval", text, "--session", str(session)]) == code
         err = capsys.readouterr().err
         assert err.count("error:") == 1
-        assert ("4**11 instances" in err) == (code == 4)
+        assert (err == WORK_ERROR + "\n") == (code == 4)
+
+
+class TestWorkBudget:
+    """One budget, ``MAX_WORK``, bounds the node runs of a whole formula:
+    each node is charged the number of times it will run, and an atom
+    over two bound variables the printed length of the longest entry."""
+
+    def eval_cli(self, capsys, tmp_path, text) -> tuple[int, str]:
+        session = tmp_path / "s.session"
+        session.write_text("universe a b c d\nlet A = <{a}|{b}|{}>\n")
+        code = main(["eval", text, "--session", str(session)])
+        return code, capsys.readouterr().err
+
+    def test_sibling_nests_add_up(self, capsys, tmp_path):
+        # One nest is 1 + 4 + ... + 4**9 quantifier runs and 3 * 4**10
+        # body runs, 3,495,253 in all; three of them pass the limit.
+        one = nest(10, "x9 in A /\\ x9 in A")
+        assert self.eval_cli(capsys, tmp_path, one) == (0, "")
+        code, err = self.eval_cli(capsys, tmp_path, " /\\ ".join([f"({one})"] * 3))
+        assert (code, err) == (4, WORK_ERROR + "\n")
+
+    def test_large_body_counts(self, capsys, tmp_path):
+        body = " /\\ ".join(f"x{i} = x{i + 1}" for i in range(8))
+        code, err = self.eval_cli(capsys, tmp_path, nest(10, body))
+        assert (code, err) == (4, WORK_ERROR + "\n")
+
+    @pytest.mark.parametrize("text, work", [
+        ("forall x . forall y . x in A", 1 + 2 + 4),
+        ("forall x . forall y . x = y", 1 + 2 + 4 * 3),
+        ("forall x . x = x /\\ x in A", 1 + 2 * 3),
+    ])
+    def test_evaluate_admits_exactly_max_work(self, monkeypatch, text, work):
+        # Entries "aaa" and "b": x = y relates two of them per instance,
+        # at a weight of 3, the longer one's printed length.
+        monkeypatch.setattr(checker, "MAX_WORK", work)
+        m = Model([Atom("aaa"), b], {"A": NCSet({b}, set(), set())})
+        assert evaluate(parse(text), m) in ALL_VALUES
+        with pytest.raises(GuardExceeded):
+            evaluate(parse(f"~({text})"), m)
+
+    @pytest.mark.parametrize("text, work", [("p -> p", 3 * 4), ("p /\\ q -> p", 5 * 16), ("false", 1)])
+    def test_valid_prop_admits_exactly_max_work(self, monkeypatch, text, work):
+        monkeypatch.setattr(checker, "MAX_WORK", work)
+        assert valid_prop(parse(text))[0] == (text != "false")
+        with pytest.raises(GuardExceeded):
+            valid_prop(parse(f"~({text})"))
+
+    def test_nine_letters_fit_32_nodes(self):
+        # 32 nodes over 9 letters are exactly the limit; the formula fails
+        # at its third assignment, so the test runs quickly.
+        text = "!" * 15 + "(" + " /\\ ".join(f"p{i}" for i in range(9)) + ")"
+        assert valid_prop(parse(text)) == (False, {**{f"p{i}": T for i in range(8)}, "p8": N})
+        with pytest.raises(GuardExceeded):
+            valid_prop(parse("!" + text))
+
+    def test_eval_prop_runs_once(self, monkeypatch):
+        monkeypatch.setattr(checker, "MAX_WORK", 5)
+        assert eval_prop(parse("p /\\ q -> p"), {"p": T, "q": F}) == T
 
 
 class TestAgainstSatisfactionRecursion:
@@ -263,10 +330,15 @@ class TestValidity:
         assert not ok and witness is not None
         assert not eval_prop(f, witness).assertable
 
-    def test_letter_guard(self):
-        letters = " \\/ ".join(f"p{i}" for i in range(11))
-        with pytest.raises(GuardExceeded):
-            valid_prop(parse(letters))
+    def test_letter_guard(self, capsys):
+        # 4**10 assignments of 19 nodes pass the work limit, so 10 letters
+        # are refused whatever the formula; 9 letters fit 32 nodes.
+        for k in (10, 11):
+            letters = " \\/ ".join(f"p{i}" for i in range(k))
+            with pytest.raises(GuardExceeded):
+                valid_prop(parse(letters))
+            assert main(["valid", letters]) == 4
+            assert capsys.readouterr().err == WORK_ERROR + "\n"
 
     def test_excluded_middle_fails_at_n(self):
         ok, witness = valid_prop(parse("p \\/ ~p"))

@@ -10,7 +10,7 @@ from helpers import random_ncset
 from test_sets import two_atom_family
 from bzfc.errors import GuardExceeded, PoolTooSmall
 from bzfc.numerosity import cong_tv, preceq_tv
-from bzfc.oracle import (MAX_REALM_SIZE, PebblePool, cong_brute,
+from bzfc.oracle import (MAX_REALM_SIZE, _pebbles, cong_brute,
                          enumerate_countings, preceq_brute)
 from bzfc.sets import Atom, NCSet
 from bzfc.truth import B, T
@@ -19,20 +19,22 @@ a, b, c, d = (Atom(ch) for ch in "abcd")
 
 
 class TestPebblePool:
+    """The fresh atoms that ``cong_brute`` and ``preceq_brute`` count into."""
+
     def test_disjoint_from_realms(self):
         s = NCSet({Atom("p1")}, {Atom("p2")}, set())
-        pool = PebblePool.for_sets(s, NCSet(set(), {Atom("p3")}, set()))
-        assert len(pool.atoms) == 3
-        assert not set(pool.atoms) & (s.realm | {Atom("p3")})
+        pool = _pebbles(s, NCSet(set(), {Atom("p3")}, set()))
+        assert pool == [Atom("p4"), Atom("p5"), Atom("p6")]
+        assert not set(pool) & (s.realm | {Atom("p3")})
 
     def test_default_size_is_realm_sum(self):
         s = NCSet({a}, {b}, set())
         t = NCSet(set(), set(), {c})
-        assert len(PebblePool.for_sets(s, t).atoms) == 3
+        assert len(_pebbles(s, t)) == 3
 
     def test_explicit_size(self):
-        pool = PebblePool.for_sets(NCSet(), NCSet(), size=5)
-        assert len(pool.atoms) == 5
+        assert len(_pebbles(NCSet(), NCSet(), 5)) == 5
+        assert len(_pebbles(NCSet({a}, set(), set()), NCSet(), 2)) == 3
 
 
 class TestEnumeration:

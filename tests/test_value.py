@@ -10,7 +10,6 @@ import pytest
 from bzfc.cardinal import Cardinal, Fin
 from bzfc.checker import Model
 from bzfc.formula import Bottom, CNeg, Const, Neg, Prop, Var, parse
-from bzfc.oracle import PebblePool
 from bzfc.parareal import ParaReal
 from bzfc.sets import Atom, ClassicalFn, Nat, NCSet, Pair, Tag, parse_ncset
 from bzfc.truth import T
@@ -20,7 +19,6 @@ VALUES = [
     parse_ncset("<{a,(b,1)}|{c@2}|{4}>"),
     parse("forall x . x in A -> ~p & o q"), Bottom(),
     Cardinal(Fin(1), Fin(0), Fin(2)), ParaReal("1/2", -1, 3),
-    PebblePool((Atom("p1"), Atom("p2"))),
     pytest.param(NCSet.from_extensions({Atom("a"), Nat(1)}, {Nat(1), Atom("b")}),
                  id="NCSet-from_extensions"),
     pytest.param(ClassicalFn({Atom("a"): Nat(0), Atom("b"): Nat(0)}).image(
