@@ -66,7 +66,7 @@ class Fin(ClassicalCard):
     def __init__(self, n: int):
         if n < 0:
             raise ValueError(f"a cardinal cannot be negative: {n}")
-        object.__setattr__(self, "n", n)
+        self._assign(n)
 
     def __str__(self) -> str:
         return str(self.n)
@@ -78,7 +78,7 @@ class Aleph(ClassicalCard):
     def __init__(self, index: int):
         if not 0 <= index <= MAX_ALEPH_INDEX:
             raise ValueError(f"aleph index must be in 0..{MAX_ALEPH_INDEX}: {index}")
-        object.__setattr__(self, "index", index)
+        self._assign(index)
 
     def __str__(self) -> str:
         return f"aleph{self.index}"
@@ -86,11 +86,6 @@ class Aleph(ClassicalCard):
 
 class Cardinal(Value):
     __slots__ = ("kt", "kb", "kn")
-
-    def __init__(self, kt: ClassicalCard, kb: ClassicalCard, kn: ClassicalCard):
-        object.__setattr__(self, "kt", kt)
-        object.__setattr__(self, "kb", kb)
-        object.__setattr__(self, "kn", kn)
 
     @classmethod
     def finite(cls, t: int, b: int, n: int) -> "Cardinal":

@@ -59,8 +59,7 @@ class Model(Value):
 
     def __init__(self, universe: Iterable[DomainValue] = (),
                  env: Mapping[str, DomainValue] | None = None):
-        object.__setattr__(self, "universe", tuple(universe))
-        object.__setattr__(self, "env", dict(env or {}))
+        self._assign(tuple(universe), dict(env or {}))
 
 
 def evaluate(f: fm.Formula, model: Model) -> TruthValue:
@@ -90,7 +89,7 @@ def _compile(f: fm.Formula, model: Model | None, scope: Sequence[str],
     times.  ``scope`` names the slots; ``model`` is None for a
     propositional formula, whose letters are the slots.  ``spent[0]`` is
     the work charged so far."""
-    spent[0] += runs * _weight(f, model, scope) if isinstance(f, _ATOMS) else runs
+    spent[0] += runs * _weight(f, model, scope, spent) if isinstance(f, _ATOMS) else runs
     if spent[0] > MAX_WORK:
         raise GuardExceeded(f"the formula needs more than {MAX_WORK:,} node evaluations "
                             "(the work limit)")
@@ -164,13 +163,17 @@ def _atom(relate: Callable[[DomainValue, DomainValue], TruthValue],
     return lambda env: row[id(env[slot])]
 
 
-def _weight(f: fm.Membership | fm.Equality, model: Model | None, scope: Sequence[str]) -> int:
+def _weight(f: fm.Membership | fm.Equality, model: Model | None, scope: Sequence[str],
+            spent: list[int]) -> int:
     """One, or for an atom over two distinct bound variables, which relates two
-    universe entries on each run, the printed length of the longest entry."""
+    universe entries on each run, the printed length of the longest entry.  That
+    is rendered once a call, when first needed, and kept as ``spent[1]``."""
     left, right = f.left.name, f.right.name
     if model is None or left == right or left not in scope or right not in scope:
         return 1
-    return max(len(str(u)) for u in model.universe)
+    if len(spent) == 1:
+        spent.append(max(len(str(u)) for u in model.universe))
+    return spent[1]
 
 
 def _slot(scope: Sequence[str], name: str) -> int | None:

@@ -29,11 +29,6 @@ from .errors import GuardExceeded
 from .scan import MAX_NESTING, Cursor
 from .value import Value
 
-# The deepest a parsed formula may nest: no atom lies inside more than
-# MAX_NESTING parentheses, prefix connectives, binders and right operands
-# of -> or =>, or below more than MAX_NESTING tree nodes.  Every recursive
-# walk of the tree takes at most 2 frames a level.
-
 
 # ---------------------------------------------------------------------------
 # Terms
@@ -41,9 +36,6 @@ from .value import Value
 
 class Term(Value):
     __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
 
     def __str__(self) -> str:
         return self.name
@@ -74,7 +66,6 @@ class Formula(Value):
 
 class Prop(Formula):
     __slots__ = ("name",)
-    __init__ = Term.__init__
 
 
 class Bottom(Formula):
@@ -85,26 +76,17 @@ class Unary(Formula):
     __slots__ = ("body",)
     level = 5
 
-    def __init__(self, body: Formula):
-        object.__setattr__(self, "body", body)
-
 
 class Binary(Formula):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: Formula, right: Formula):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
 
 class Membership(Formula):
     __slots__ = ("left", "right")
-    __init__ = Binary.__init__
 
 
 class Equality(Formula):
     __slots__ = ("left", "right")
-    __init__ = Binary.__init__
 
 
 class Neg(Unary):
@@ -170,10 +152,6 @@ class StrongIff(Binary):
 class Quantifier(Formula):
     __slots__ = ("var", "body")
     level = 0
-
-    def __init__(self, var: str, body: Formula):
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "body", body)
 
 
 class Forall(Quantifier):
@@ -279,6 +257,10 @@ class _Parser(Cursor):
         raise self.fail({"formula"})
 
 
+# The deepest a parsed formula may nest: the parser admits no atom inside
+# more than MAX_NESTING parentheses, prefix connectives, binders and right
+# operands of -> or =>, and ``_check_depth`` none below more than MAX_NESTING
+# tree nodes.  Every recursive walk of the tree takes at most 2 frames a level.
 def parse(text: str) -> Formula:
     """Parse; raises ParseError with position and expectations,
     and GuardExceeded for a formula nested more than MAX_NESTING deep."""

@@ -34,9 +34,7 @@ class ParaReal(Value):
     __slots__ = ("xt", "xb", "xn")
 
     def __init__(self, xt: Rational = 0, xb: Rational = 0, xn: Rational = 0):
-        object.__setattr__(self, "xt", Fraction(xt))
-        object.__setattr__(self, "xb", Fraction(xb))
-        object.__setattr__(self, "xn", Fraction(xn))
+        self._assign(Fraction(xt), Fraction(xb), Fraction(xn))
 
     def __add__(self, other: "ParaReal") -> "ParaReal":
         return ParaReal(self.xt + other.xt, self.xb + other.xb, self.xn + other.xn)

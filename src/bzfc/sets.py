@@ -37,18 +37,12 @@ class Element(Value):
 class Atom(Element):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-
     def __str__(self) -> str:
         return self.name
 
 
 class Nat(Element):
     __slots__ = ("value",)
-
-    def __init__(self, value: int):
-        object.__setattr__(self, "value", value)
 
     def __str__(self) -> str:
         return str(self.value)
@@ -57,20 +51,12 @@ class Nat(Element):
 class Pair(Element):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: Element, right: Element):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
     def __str__(self) -> str:
         return f"({self.left},{self.right})"
 
 
 class Tag(Element):
     __slots__ = ("value", "index")
-
-    def __init__(self, value: Element, index: int):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "index", index)
 
     def __str__(self) -> str:
         return f"{self.value}@{self.index}"
@@ -91,15 +77,13 @@ class NCSet(Value):
         overlap = (bpart & tpart) | (bpart & npart) | (tpart & npart)
         if overlap:
             raise DisjointnessViolation(min(overlap, key=str))
-        object.__setattr__(self, "bang_ext", bpart | tpart)
-        object.__setattr__(self, "query_ext", tpart | npart)
+        self._assign(bpart | tpart, tpart | npart)
 
     @classmethod
     def from_extensions(cls, bang_ext: Iterable[Element], query_ext: Iterable[Element]) -> "NCSet":
         """Build the unique set with the given !-extension and ?-extension."""
         a = object.__new__(cls)
-        object.__setattr__(a, "bang_ext", frozenset(bang_ext))
-        object.__setattr__(a, "query_ext", frozenset(query_ext))
+        a._assign(frozenset(bang_ext), frozenset(query_ext))
         return a
 
     def __reduce__(self) -> tuple:

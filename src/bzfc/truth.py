@@ -18,6 +18,7 @@ class TruthValue(Value):
     __slots__ = ("assertable", "deniable")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
+    __init__ = object.__init__  # __new__ returns one of the four, already set
 
     def __new__(cls, assertable: bool, deniable: bool) -> "TruthValue":
         return _BY_FLAGS[assertable, deniable]
@@ -50,8 +51,7 @@ class TruthValue(Value):
 _BY_FLAGS: dict[tuple[bool, bool], TruthValue] = {}
 for _flags in ((True, False), (True, True), (False, False), (False, True)):
     _BY_FLAGS[_flags] = _value = object.__new__(TruthValue)
-    object.__setattr__(_value, "assertable", _flags[0])
-    object.__setattr__(_value, "deniable", _flags[1])
+    _value._assign(*_flags)
 T, B, N, F = _BY_FLAGS.values()
 
 ALL_VALUES = (T, B, N, F)

@@ -247,6 +247,24 @@ class TestWorkBudget:
         monkeypatch.setattr(checker, "MAX_WORK", 5)
         assert eval_prop(parse("p /\\ q -> p"), {"p": T, "q": F}) == T
 
+    def test_each_entry_is_rendered_once_per_call(self):
+        # Three atoms over two bound variables are weighted by the longest
+        # entry's printed length, which is measured once for all three.
+        rendered = []
+
+        class CountedAtom(Atom):
+            __slots__ = ()
+
+            def __str__(self) -> str:
+                rendered.append(self.name)
+                return self.name
+
+        m = Model([CountedAtom("aaa"), CountedAtom("b")], {})
+        assert evaluate(parse("forall x . forall y . x = y /\\ y = x /\\ x != y"), m) == F
+        assert sorted(rendered) == ["aaa", "b"]
+        assert evaluate(parse("forall x . forall y . x = x /\\ y in y"), m) == F
+        assert sorted(rendered) == ["aaa", "b"]  # no such atom, no rendering
+
 
 class TestAgainstSatisfactionRecursion:
     def test_random_formulas_and_models(self):

@@ -1,24 +1,35 @@
 """The immutable value classes: equality, hashing, immutability, copying."""
 
 import copy
+import importlib
+import inspect
 import pickle
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
-from bzfc.cardinal import Cardinal, Fin
+import bzfc
+from bzfc.cardinal import Aleph, Cardinal, Fin
 from bzfc.checker import Model
+from bzfc.errors import DisjointnessViolation
 from bzfc.formula import Bottom, CNeg, Const, Neg, Prop, Var, parse
 from bzfc.parareal import ParaReal
 from bzfc.sets import Atom, ClassicalFn, Nat, NCSet, Pair, Tag, parse_ncset
-from bzfc.truth import T
+from bzfc.truth import B, T, TruthValue
+from bzfc.value import Value
+
+# Every module but __main__, which would run the CLI, so that every value
+# class exists.
+MODULES = [importlib.import_module(f"bzfc.{m.name}")
+           for m in pkgutil.iter_modules(bzfc.__path__) if m.name != "__main__"]
 
 VALUES = [
     Atom("a"), Nat(3), Pair(Atom("a"), Nat(1)), Tag(Atom("a"), 2),
     parse_ncset("<{a,(b,1)}|{c@2}|{4}>"),
     parse("forall x . x in A -> ~p & o q"), Bottom(),
-    Cardinal(Fin(1), Fin(0), Fin(2)), ParaReal("1/2", -1, 3),
+    Cardinal(Fin(1), Fin(0), Fin(2)), ParaReal("1/2", -1, 3), Aleph(2), Fin(0), T,
     pytest.param(NCSet.from_extensions({Atom("a"), Nat(1)}, {Nat(1), Atom("b")}),
                  id="NCSet-from_extensions"),
     pytest.param(ClassicalFn({Atom("a"): Nat(0), Atom("b"): Nat(0)}).image(
@@ -78,3 +89,66 @@ def test_model_copies():
 def test_repr_names_the_fields():
     assert repr(Pair(Atom("a"), Nat(1))) == "Pair(left=Atom(name='a'), right=Nat(value=1))"
     assert repr(Bottom()) == "Bottom()"
+
+
+def value_classes(cls: type = Value):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from value_classes(sub)
+
+
+def test_derived_constructors_take_the_fields_in_order():
+    with_fields = {cls for cls in value_classes()
+                   if cls.__module__.startswith("bzfc.") and cls.__dict__.get("__slots__")}
+    derived = {cls for cls in with_fields if cls.__init__ is cls._assign}
+    assert {cls.__name__ for cls in derived} == {
+        "Term", "Prop", "Unary", "Binary", "Membership", "Equality", "Quantifier",
+        "Atom", "Nat", "Pair", "Tag", "Cardinal"}
+    assert {cls.__name__ for cls in with_fields - derived} == {
+        "Fin", "Aleph", "NCSet", "ParaReal", "Model", "TruthValue"}
+    for cls in derived:
+        assert tuple(inspect.signature(cls).parameters) == cls._fields
+
+
+def test_one_constructor_is_compiled_per_tuple_of_fields():
+    # Each tuple is compiled once as the package is imported, and each
+    # compile adds to its import time.
+    code = ("import importlib, pkgutil, bzfc\n"
+            "for m in pkgutil.iter_modules(bzfc.__path__):\n"
+            "    if m.name != '__main__': importlib.import_module(f'bzfc.{m.name}')\n"
+            "print(bzfc.value._assigner.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == "13\n"
+
+
+@pytest.mark.parametrize("make, field", [(lambda: Atom(), "name"), (lambda: Pair(Atom("a")), "right")])
+def test_a_missing_field_is_named(make, field):
+    with pytest.raises(TypeError, match=f"missing 1 required positional argument: '{field}'"):
+        make()
+
+
+class PlainFin(Fin):
+    __slots__ = ()
+
+
+class PlainSet(NCSet):
+    __slots__ = ()
+
+
+def test_a_subclass_without_fields_keeps_its_parents_checks():
+    assert PlainFin(2).n == 2
+    with pytest.raises(ValueError):
+        PlainFin(-1)
+    assert PlainSet({Atom("a")}).bang_ext == {Atom("a")}
+    with pytest.raises(DisjointnessViolation):
+        PlainSet({Atom("a")}, {Atom("a")})
+
+
+def test_truth_values_are_returned_not_rebuilt(monkeypatch):
+    # Count the field writes of the (assertable, deniable) constructor.
+    writes = []
+    monkeypatch.setitem(TruthValue._assign.__globals__, "_set", lambda *args: writes.append(args))
+    assert TruthValue(True, True) is B
+    assert writes == []
+    B._assign(True, True)
+    assert len(writes) == 2
