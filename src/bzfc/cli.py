@@ -260,8 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     session_parent.add_argument("--session", metavar="FILE",
                                 help="session file with let-bindings and a universe")
 
-    p = sub.add_parser("parse", parents=[session_parent],
-                       help="parse a formula and print its canonical form")
+    p = sub.add_parser("parse", help="parse a formula and print its canonical form")
     p.add_argument("formula")
     p.set_defaults(func=cmd_parse)
 

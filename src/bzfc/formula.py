@@ -16,9 +16,9 @@ Each connective and binder class declares its ``symbol`` and its
 there.  ``notin`` and ``!=`` parse as the negated atoms.  Restricted
 binders are abbreviations, which the parser writes out (``desugar``):
 ``exists x in A . p`` is ``exists x . x in A & p`` and
-``forall x in A . p`` is ``forall x . x in A -> p``.  Names starting
-with a lowercase letter are variables, all others constants; a bare
-name in formula position is a propositional letter.
+``forall x in A . p`` is ``forall x . x in A -> p``.  A name in term
+position is a ``Term``, whatever its case: a quantifier or the session
+may bind it.  A bare name in formula position is a propositional letter.
 """
 
 from __future__ import annotations
@@ -39,18 +39,6 @@ class Term(Value):
 
     def __str__(self) -> str:
         return self.name
-
-
-class Var(Term):
-    __slots__ = ()
-
-
-class Const(Term):
-    __slots__ = ()
-
-
-def term_for(name: str) -> Term:
-    return Var(name) if name[0].islower() else Const(name)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +161,7 @@ KEYWORDS = frozenset({"in", "notin", "false", *filter(str.isalpha, CONNECTIVES)}
 def desugar(kind: type, var: str, bound: Term, body: Formula) -> Formula:
     """The restricted binder ``kind var in bound . body`` written out:
     ``kind`` is Forall (over ->) or Exists (over &)."""
-    member = Membership(Var(var), bound)
+    member = Membership(Term(var), bound)
     return Forall(var, Imp(member, body)) if kind is Forall else Exists(var, Amp(member, body))
 
 
@@ -230,7 +218,7 @@ class _Parser(Cursor):
         bound: Term | None = None
         if self.kind == "in":
             self.advance()
-            bound = term_for(self.expect("name", "set name"))
+            bound = Term(self.expect("name", "set name"))
         self.expect(".")
         body = self.nested(self.formula)
         return node(var, body) if bound is None else desugar(node, var, bound, body)
@@ -246,11 +234,11 @@ class _Parser(Cursor):
             self.expect(")")
             return inner
         if kind == "name":
-            left = term_for(self.advance())
+            left = Term(self.advance())
             rel = self.kind
             if rel in ("in", "notin", "=", "!="):
                 self.advance()
-                right = term_for(self.expect("name", "term"))
+                right = Term(self.expect("name", "term"))
                 atom = Membership(left, right) if rel in ("in", "notin") else Equality(left, right)
                 return Neg(atom) if rel in ("notin", "!=") else atom
             return Prop(left.name)

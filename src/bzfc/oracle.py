@@ -5,8 +5,10 @@ injective relabeling of the realm) whose image equals, or lands inside,
 the other set.  The search space is a proper class in principle; here
 the codomain is cut down to the other set's realm plus a pool of fresh
 pebbles.  Any counting can be relabeled into such a codomain without
-changing the equality or inclusion verdicts, so nothing is lost; the
-pool-sufficiency check in the test suite probes this empirically.
+changing the equality or inclusion verdicts, so nothing is lost.  A
+pebble is a ``_Pebble``, a class of element that no literal makes, and
+values of different classes are never equal, so no pebble is in either
+realm.
 
 This module exists to validate the closed forms in ``numerosity`` and
 is deliberately naive: no memoization, no symmetry pruning, just the
@@ -19,25 +21,21 @@ import itertools
 from typing import Iterator, Sequence
 
 from .errors import GuardExceeded, PoolTooSmall
-from .sets import Atom, ClassicalFn, Element, NCSet
+from .sets import ClassicalFn, Element, NCSet
 from .truth import TruthValue
 
 MAX_REALM_SIZE = 4
 
 
-def _pebbles(a: NCSet, b: NCSet, extra: int = 0) -> list[Atom]:
-    """Fresh atoms p1, p2, ... outside both realms: one for each element
-    of the two realms, and ``extra`` more."""
-    taken = a.realm | b.realm
-    size = len(a.realm) + len(b.realm) + extra
-    fresh: list[Atom] = []
-    i = 1
-    while len(fresh) < size:
-        candidate = Atom(f"p{i}")
-        if candidate not in taken:
-            fresh.append(candidate)
-        i += 1
-    return fresh
+class _Pebble(Element):
+    """A fresh element to count into; it equals no realm element."""
+
+    __slots__ = ("index",)
+
+
+def _pebbles(a: NCSet, b: NCSet) -> list[_Pebble]:
+    """One pebble for each element of the two realms."""
+    return [_Pebble(i) for i in range(len(a.realm) + len(b.realm))]
 
 
 def enumerate_countings(a: NCSet, codomain: Sequence[Element]) -> Iterator[ClassicalFn]:
@@ -57,9 +55,9 @@ def _guard(a: NCSet, b: NCSet) -> None:
             f"realm size {biggest} exceeds brute-force limit {MAX_REALM_SIZE}")
 
 
-def _search(a: NCSet, b: NCSet, relate, extra_pebbles: int) -> TruthValue:
+def _search(a: NCSet, b: NCSet, relate) -> TruthValue:
     _guard(a, b)
-    codomain = sorted(b.realm, key=str) + _pebbles(a, b, extra_pebbles)
+    codomain = sorted(b.realm, key=str) + _pebbles(a, b)
     assertable = False
     deniable = True
     for counting in enumerate_countings(a, codomain):
@@ -71,12 +69,12 @@ def _search(a: NCSet, b: NCSet, relate, extra_pebbles: int) -> TruthValue:
     return TruthValue(assertable, deniable)
 
 
-def cong_brute(a: NCSet, b: NCSet, extra_pebbles: int = 0) -> TruthValue:
+def cong_brute(a: NCSet, b: NCSet) -> TruthValue:
     """Equinumerosity by search: true when some counting of ``a`` tallies
     to exactly ``b``; false when every counting's tally differs."""
-    return _search(a, b, NCSet.eq_tv, extra_pebbles)
+    return _search(a, b, NCSet.eq_tv)
 
 
-def preceq_brute(a: NCSet, b: NCSet, extra_pebbles: int = 0) -> TruthValue:
+def preceq_brute(a: NCSet, b: NCSet) -> TruthValue:
     """Size-at-most by search, with inclusion in place of equality."""
-    return _search(a, b, NCSet.subset_tv, extra_pebbles)
+    return _search(a, b, NCSet.subset_tv)

@@ -37,7 +37,7 @@ def random_formula(rng: random.Random, depth: int = 4,
     names = list(var_names) + list(const_names)
 
     def term() -> fm.Term:
-        return fm.term_for(rng.choice(names))
+        return fm.Term(rng.choice(names))
 
     def go(d: int) -> fm.Formula:
         if d == 0:
@@ -62,7 +62,7 @@ def random_formula(rng: random.Random, depth: int = 4,
             return fm.Forall(var, go(d - 1))
         if binder == 1:
             return fm.Exists(var, go(d - 1))
-        bound = fm.term_for(rng.choice(const_names))
+        bound = fm.Term(rng.choice(const_names))
         return fm.desugar(fm.Forall if binder == 2 else fm.Exists, var, bound, go(d - 1))
 
     return go(depth)
@@ -76,7 +76,7 @@ def random_closed_formula(rng: random.Random, model_names: list[str],
         usable = list(model_names) + list(scope)
 
         def term() -> fm.Term:
-            return fm.term_for(rng.choice(usable))
+            return fm.Term(rng.choice(usable))
 
         if d == 0 or rng.random() < 0.25:
             if rng.randrange(5) == 0:

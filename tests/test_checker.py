@@ -130,10 +130,10 @@ class TestEngine:
         m = model_with({"A": NCSet({a}, {b}, set())})
         for kind, plain in [(fm.Forall, "forall x . x in A -> x = a"),
                             (fm.Exists, "exists x . x in A & x = a")]:
-            built = fm.desugar(kind, "x", fm.Const("A"), fm.Equality(fm.Var("x"), fm.Var("a")))
+            built = fm.desugar(kind, "x", fm.Term("A"), fm.Equality(fm.Term("x"), fm.Term("a")))
             assert evaluate(built, m) == evaluate(parse(plain), m)
         with pytest.raises(NotPropositional, match="found Forall$"):
-            eval_prop(fm.desugar(fm.Forall, "x", fm.Const("A"), fm.Prop("p")), {"p": T})
+            eval_prop(fm.desugar(fm.Forall, "x", fm.Term("A"), fm.Prop("p")), {"p": T})
 
     def test_one_variable_atoms_are_tabulated(self, monkeypatch):
         # An atom over one bound variable takes one member_tv call per
@@ -384,7 +384,7 @@ BINARY = (fm.Conj, fm.Amp, fm.Disj, fm.Imp, fm.StrongImp, fm.Iff, fm.StrongIff)
 
 def encoded(f: fm.Formula) -> fm.Formula:
     if isinstance(f, fm.Prop):
-        return fm.Membership(fm.Const("c"), fm.Const(f.name.upper()))
+        return fm.Membership(fm.Term("c"), fm.Term(f.name.upper()))
     if isinstance(f, fm.Unary):
         return type(f)(encoded(f.body))
     if isinstance(f, fm.Binary):

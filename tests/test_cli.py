@@ -486,9 +486,10 @@ class TestUsage:
     @pytest.mark.parametrize("argv", [
         [], ["nope"], ["parse"], ["parse", "p", "extra"], ["parse", "--bogus", "p"],
         ["eval", "p", "--session"], ["lattice", "x", "1", "1"], ["check", "--cases", "x"],
-        ["parse", "p", "a\nb"],
+        ["parse", "p", "a\nb"], ["parse", "--session", "s.session", "p"],
     ], ids=["empty", "unknown-command", "missing", "extra", "unknown-option",
-            "option-without-value", "not-an-int", "check-not-an-int", "newline"])
+            "option-without-value", "not-an-int", "check-not-an-int", "newline",
+            "parse-takes-no-session"])
     def test_one_error_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")

@@ -6,14 +6,16 @@ import pytest
 
 from helpers import random_formula
 from bzfc import formula as fm
+from bzfc.checker import Model, evaluate
+from bzfc.cli import main
 from bzfc.errors import ParseError
-from bzfc.formula import (Amp, Bang, Bottom, CNeg, Circ, Conj, Const, Disj,
-                          Equality, Exists, Forall, Iff, Imp, Membership, Neg,
-                          Prop, Query, StrongIff, StrongImp, Var, desugar, parse,
-                          render)
+from bzfc.formula import (Amp, Bang, Bottom, CNeg, Circ, Conj, Disj, Equality,
+                          Exists, Forall, Iff, Imp, Membership, Neg, Prop, Query,
+                          StrongIff, StrongImp, Term, desugar, parse, render)
+from bzfc.sets import Atom, NCSet
 
-x, y = Var("x"), Var("y")
-A = Const("A")
+x, y = Term("x"), Term("y")
+A = Term("A")
 
 
 class TestParsing:
@@ -36,9 +38,16 @@ class TestParsing:
     def test_proposition_letters(self):
         assert parse("p & q") == Amp(Prop("p"), Prop("q"))
 
-    def test_case_decides_var_vs_const(self):
-        assert parse("x in A") == Membership(Var("x"), Const("A"))
-        assert parse("B in A") == Membership(Const("B"), Const("A"))
+    def test_case_of_a_name_has_no_effect(self, tmp_path, capsys):
+        assert parse("X in a") == Membership(Term("X"), Term("a"))
+        c = Atom("c")
+        model = Model([Atom("a"), c], {"A": NCSet(set(), {c}, set())})
+        assert evaluate(parse("forall X . X in A"), model) == evaluate(
+            parse("forall x . x in A"), model)
+        session = tmp_path / "s.session"
+        session.write_text("let s = <{}|{c}|{}>\n")
+        assert main(["eval", "c in s", "--session", str(session)]) == 0
+        assert capsys.readouterr().out == "t\n"
 
     def test_prefix_connectives(self):
         assert parse("~p") == Neg(Prop("p"))

@@ -8,9 +8,10 @@ import pytest
 
 from helpers import random_ncset
 from test_sets import two_atom_family
+from bzfc import oracle
 from bzfc.errors import GuardExceeded, PoolTooSmall
 from bzfc.numerosity import cong_tv, preceq_tv
-from bzfc.oracle import (MAX_REALM_SIZE, _pebbles, cong_brute,
+from bzfc.oracle import (MAX_REALM_SIZE, _pebbles, _Pebble, cong_brute,
                          enumerate_countings, preceq_brute)
 from bzfc.sets import Atom, NCSet
 from bzfc.truth import B, T
@@ -19,22 +20,19 @@ a, b, c, d = (Atom(ch) for ch in "abcd")
 
 
 class TestPebblePool:
-    """The fresh atoms that ``cong_brute`` and ``preceq_brute`` count into."""
+    """The fresh elements that ``cong_brute`` and ``preceq_brute`` count into."""
 
     def test_disjoint_from_realms(self):
         s = NCSet({Atom("p1")}, {Atom("p2")}, set())
-        pool = _pebbles(s, NCSet(set(), {Atom("p3")}, set()))
-        assert pool == [Atom("p4"), Atom("p5"), Atom("p6")]
-        assert not set(pool) & (s.realm | {Atom("p3")})
+        t = NCSet(set(), {Atom("p0"), Atom("p3")}, set())
+        pool = _pebbles(s, t)
+        assert len(set(pool)) == 4
+        assert not set(pool) & (s.realm | t.realm)
 
     def test_default_size_is_realm_sum(self):
         s = NCSet({a}, {b}, set())
         t = NCSet(set(), set(), {c})
         assert len(_pebbles(s, t)) == 3
-
-    def test_explicit_size(self):
-        assert len(_pebbles(NCSet(), NCSet(), 5)) == 5
-        assert len(_pebbles(NCSet({a}, set(), set()), NCSet(), 2)) == 3
 
 
 class TestEnumeration:
@@ -95,13 +93,14 @@ class TestBruteForce:
             assert cong_brute(s, t) == cong_tv(s, t), f"{s} vs {t}"
             assert preceq_brute(s, t) == preceq_tv(s, t), f"{s} vs {t}"
 
-    def test_pool_enlargement_never_changes_the_verdict(self):
+    def test_pool_enlargement_never_changes_the_verdict(self, monkeypatch):
         rng = random.Random(18)
-        for _ in range(25):
-            s = random_ncset(rng, 2)
-            t = random_ncset(rng, 2)
-            base_cong = cong_brute(s, t)
-            base_prec = preceq_brute(s, t)
-            for extra in (1, 2, 3):
-                assert cong_brute(s, t, extra_pebbles=extra) == base_cong
-                assert preceq_brute(s, t, extra_pebbles=extra) == base_prec
+        pairs = [(random_ncset(rng, 2), random_ncset(rng, 2)) for _ in range(25)]
+        base = [(cong_brute(s, t), preceq_brute(s, t)) for s, t in pairs]
+        for extra in (1, 2, 3):
+            def enlarged(s, t, extra=extra):
+                pool = _pebbles(s, t)
+                return pool + [_Pebble(len(pool) + i) for i in range(extra)]
+
+            monkeypatch.setattr(oracle, "_pebbles", enlarged)
+            assert [(cong_brute(s, t), preceq_brute(s, t)) for s, t in pairs] == base
