@@ -192,12 +192,11 @@ class ClassicalFn:
         """The image set: membership of an output is the join of the
         membership values of all its preimages, so it is true when some
         preimage's is and false when every preimage's is."""
-        missing = a.realm - self.domain
+        missing = a.realm.difference(self.graph)  # reuses the realm's stored hashes
         if missing:
             raise DomainError(sorted(missing, key=str))
-        graph = self.graph
-        return NCSet.from_extensions({graph[x] for x in a.bang_ext},
-                                     {graph[x] for x in a.query_ext})
+        return NCSet.from_extensions(map(self.graph.__getitem__, a.bang_ext),
+                                     map(self.graph.__getitem__, a.query_ext))
 
 
 # ---------------------------------------------------------------------------

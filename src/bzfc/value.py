@@ -1,47 +1,48 @@
 """Small immutable values.
 
-From the fields in ``__slots__``, bases' first, ``Value`` derives ``==``
-(same class, equal fields), a consistent hash, copying and pickling by
-constructor call, a dataclass-style repr, and ``_assign(self, <fields>)``,
-which sets each field once; later assignment raises.  ``_assign`` is the
-constructor of each class that adds fields and writes no ``__init__``; one
-that writes its own checks or converts its arguments, then calls ``_assign``.
+From the fields in ``__slots__``, bases' first, one ``exec`` per tuple of
+field names compiles ``==`` (same class, equal fields), a consistent hash and
+``_assign(self, <fields>)``, which sets each field once; later assignment
+raises.  A class that adds fields gets each of the three it does not write;
+one that writes ``__init__`` checks or converts its arguments, then calls
+``_assign``.  Copies, pickles and the repr go through the fields too.
 """
 
 from functools import cache
-from operator import attrgetter
 
 
 @cache
-def _assigner(fields: tuple[str, ...]):
-    """``_assign`` for these fields, compiled once from their names, as
-    ``namedtuple`` builds ``__new__``; named ``__init__`` for arity errors."""
-    lines = "".join(f"\n    _set(self, {name!r}, {name})" for name in fields)
+def _methods(fields: tuple[str, ...]) -> dict:
+    """``__init__`` (``_assign``, so named for arity errors), ``__eq__`` and
+    ``__hash__``, compiled as ``namedtuple`` builds ``__new__``.  One field is
+    compared and hashed as itself, several as a tuple, none as the class."""
+    def key(obj: str) -> str:
+        names = [f"{obj}.{name}" for name in fields] or [f"{obj}.__class__"]
+        return names[0] if len(names) == 1 else f"({', '.join(names)})"
+
+    sets = "".join(f"\n    _set(self, {name!r}, {name})" for name in fields)
     namespace = {"_set": object.__setattr__}
-    exec(f"def __init__(self, {', '.join(fields)}):{lines}", namespace)
-    return namespace["__init__"]
+    exec(f"def __init__(self, {', '.join(fields)}):{sets or ' pass'}\n"
+         f"def __eq__(self, other): return {key('self')} == {key('other')} "
+         "if other.__class__ is self.__class__ else NotImplemented\n"
+         f"def __hash__(self): return hash({key('self')})", namespace)
+    return namespace
 
 
 class Value:
     __slots__ = ()
+    __eq__ = _methods(())["__eq__"]
+    __hash__ = _methods(())["__hash__"]
 
     def __init_subclass__(cls) -> None:
         own = cls.__dict__.get("__slots__", ())
         cls._fields = getattr(cls.__base__, "_fields", ()) + own
-        # The value of a single field, a tuple of several, or the class.
-        cls._key = attrgetter(*cls._fields or ("__class__",))
         if own:
-            cls._assign = _assigner(cls._fields)
-            if "__init__" not in cls.__dict__:
-                cls.__init__ = cls._assign
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._key(self) == self._key(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key(self))
+            methods = _methods(cls._fields)
+            cls._assign = methods["__init__"]
+            for name in ("__init__", "__eq__", "__hash__"):
+                if name not in cls.__dict__:
+                    setattr(cls, name, methods[name])
 
     def __reduce__(self) -> tuple:
         return self.__class__, tuple(getattr(self, name) for name in self._fields)

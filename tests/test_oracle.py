@@ -13,7 +13,7 @@ from bzfc.errors import GuardExceeded, PoolTooSmall
 from bzfc.numerosity import cong_tv, preceq_tv
 from bzfc.oracle import (MAX_REALM_SIZE, _pebbles, _Pebble, cong_brute,
                          enumerate_countings, preceq_brute)
-from bzfc.sets import Atom, NCSet
+from bzfc.sets import Atom, ClassicalFn, NCSet
 from bzfc.truth import B, T
 
 a, b, c, d = (Atom(ch) for ch in "abcd")
@@ -104,3 +104,25 @@ class TestBruteForce:
 
             monkeypatch.setattr(oracle, "_pebbles", enlarged)
             assert [(cong_brute(s, t), preceq_brute(s, t)) for s, t in pairs] == base
+
+    def test_every_counting_is_imaged_once(self, monkeypatch):
+        # The benchmark's tracer reads the search's work from these two
+        # functions, so neither may be bypassed.
+        calls = {"countings": 0, "images": 0}
+        enumerate_countings_, image = oracle.enumerate_countings, ClassicalFn.image
+
+        def counted_enumerate(*args):
+            for counting in enumerate_countings_(*args):
+                calls["countings"] += 1
+                yield counting
+
+        def counted_image(self, s):
+            calls["images"] += 1
+            return image(self, s)
+
+        monkeypatch.setattr(oracle, "enumerate_countings", counted_enumerate)
+        monkeypatch.setattr(ClassicalFn, "image", counted_image)
+        s, t = NCSet({a}, {b}, {c}), NCSet({a}, set(), {d})
+        cong_brute(s, t)
+        preceq_brute(s, t)
+        assert calls["images"] == calls["countings"] > 0

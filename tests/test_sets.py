@@ -234,7 +234,21 @@ class TestImages:
         s = NCSet({A_}, {B_}, set())
         with pytest.raises(DomainError) as exc:
             ClassicalFn({A_: C_}).image(s)
-        assert B_ in exc.value.missing
+        assert exc.value.missing == (B_,)
+        # Every missing element is named, sorted by ``str``.
+        s = NCSet({Atom("c"), Nat(10)}, {Atom("a")}, {Nat(2), Atom("b")})
+        with pytest.raises(DomainError) as exc:
+            ClassicalFn({Atom("b"): Nat(0)}).image(s)
+        assert exc.value.missing == (Nat(10), Nat(2), Atom("a"), Atom("c"))
+
+    def test_graph_keys_built_apart_from_the_realm(self):
+        # Equal but separately built keys cover the realm as its own elements do.
+        s = NCSet({Atom("a")}, {Pair(Atom("b"), Nat(1))}, {Tag(Nat(2), 0), Atom("d")})
+        keys = sorted(s.realm, key=str)
+        f = ClassicalFn({parse_element(str(x)): Nat(i) for i, x in enumerate(keys)})
+        assert not {id(k) for k in f.graph} & {id(x) for x in s.realm}
+        assert f.image(s) == ClassicalFn({x: f(x) for x in s.realm}).image(s)
+        assert f.image(s) == NCSet({Nat(2)}, {Nat(0)}, {Nat(1), Nat(3)})
 
     def test_is_injection(self):
         assert not ClassicalFn({Nat(1): A_, Nat(2): A_}).is_injection()

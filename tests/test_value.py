@@ -14,7 +14,7 @@ import bzfc
 from bzfc.cardinal import Aleph, Cardinal, Fin
 from bzfc.checker import Model
 from bzfc.errors import DisjointnessViolation
-from bzfc.formula import Bottom, CNeg, Neg, Prop, parse
+from bzfc.formula import Bottom, CNeg, Neg, Prop, Term, parse
 from bzfc.parareal import ParaReal
 from bzfc.sets import Atom, ClassicalFn, Nat, NCSet, Pair, Tag, parse_ncset
 from bzfc.truth import B, T, TruthValue
@@ -115,9 +115,24 @@ def test_one_constructor_is_compiled_per_tuple_of_fields():
     code = ("import importlib, pkgutil, bzfc\n"
             "for m in pkgutil.iter_modules(bzfc.__path__):\n"
             "    if m.name != '__main__': importlib.import_module(f'bzfc.{m.name}')\n"
-            "print(bzfc.value._assigner.cache_info().currsize)")
+            "print(bzfc.value._methods.cache_info().currsize)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert proc.stdout == "13\n"
+    # The 13 tuples of the derived constructors, and the empty tuple of
+    # ``Value``'s own ``==`` and hash.
+    assert proc.stdout == "14\n"
+
+
+def test_generated_comparisons():
+    # Separately built values with no field, one, two and three fields.
+    for make in (Bottom, lambda: Atom("a"), lambda: Pair(Atom("a"), Nat(1)),
+                 lambda: Cardinal(Fin(1), Fin(0), Fin(2))):
+        value, twin = make(), make()
+        assert value is not twin and value == twin and hash(value) == hash(twin)
+    assert Atom("a").__eq__(Nat(1)) is NotImplemented
+    assert Prop("p") != Term("p")  # the same fields, not the same class
+    # One exec per tuple of fields defines all three.
+    assert Pair.__eq__.__globals__ is Pair.__hash__.__globals__ is Pair._assign.__globals__
+    assert TruthValue.__eq__ is object.__eq__ and TruthValue.__hash__ is object.__hash__
 
 
 @pytest.mark.parametrize("make, field", [(lambda: Atom(), "name"), (lambda: Pair(Atom("a")), "right")])
