@@ -7,19 +7,21 @@ is the one deliberate departure from the intended class-sized domain.
 
 One engine serves ``evaluate``, ``eval_prop`` and ``valid_prop``.
 ``_compile`` turns a formula, once per call, into nested closures over an
-environment indexed by slot: letter i takes slot i, and a bound variable
-the slot of its binder depth, where it holds the bound universe entry.
-Each connective is a table over the four truth values, built from
-``truth``; each name is looked up once.  An atom is computed when it is
-compiled if it reads no bound variable, and tabulated over the universe
-if it reads one (``x in A``, ``a = x``, ``x in x``): a set's two extensions
-fix its truth value for each entry, so one row of |U| values serves all
-|U|^d instances of the quantifiers above it.  Only an atom over two
-distinct bound variables is computed per instance; no table outgrows
-the universe.  One budget, ``MAX_WORK``, bounds the work: as it is
-compiled, before its children, each node is charged the times it will
-run (4^k under ``valid_prop``, |U|^d below d binders, once under
-``eval_prop``), times the printed length of the longest entry for an
+environment indexed by slot: letter i takes slot i, and a bound variable the
+slot of its binder depth, where it holds the bound entry's position in the
+universe.  The engine runs on codes, a truth value's index in ``ALL_VALUES``
+(t, b, n, f = 0, 1, 2, 3, so below 2 is assertable), and turns them back
+into truth values only in its results.  Each connective is a table over the
+codes, built from ``truth``; each name is looked up once.  An atom is
+computed when it is compiled if it reads no bound variable, and tabulated
+over the universe if it reads one (``x in A``, ``a = x``, ``x in x``): a
+set's two extensions fix its truth value for each entry, so one row of |U|
+codes, indexed by position, serves all |U|^d instances of the quantifiers
+above it.  Only an atom over two distinct bound variables is computed per
+instance; no table outgrows the universe.  One budget, ``MAX_WORK``, bounds
+the work: as it is compiled, before its children, each node is charged the
+times it will run (4^k under ``valid_prop``, |U|^d below d binders, once
+under ``eval_prop``), times the printed length of the longest entry for an
 atom computed per instance, which compares two.  An unresolved name, an
 empty universe or work past the limit raises as it is compiled: no connective
 short-circuits and each quantifier runs its body, so the first one a
@@ -40,14 +42,16 @@ from .truth import ALL_VALUES, F, T, TruthValue, amp, bang, circ, cneg, conj, di
 from .value import Value
 
 DomainValue = Union[Element, NCSet]
-Compiled = Callable[[Any], TruthValue]
+Compiled = Callable[[Any], int]  # a code: the index of a value in ALL_VALUES
 
-MAX_WORK = 2 ** 23  # node runs; the slowest shape takes about 4 s on a 2-core VM (README)
+MAX_WORK = 2 ** 23  # node runs; the slowest shape takes about 2 s on a 2-core VM (README)
 
 _ATOMS = (fm.Membership, fm.Equality)
-_UNARY = {kind: {x: op(x) for x in ALL_VALUES} for kind, op in {
+_CODE = {value: code for code, value in enumerate(ALL_VALUES)}
+_T, _F = _CODE[T], _CODE[F]
+_UNARY = {kind: tuple([_CODE[op(x)] for x in ALL_VALUES]) for kind, op in {
     fm.Neg: neg, fm.CNeg: cneg, fm.Bang: bang, fm.Query: query, fm.Circ: circ}.items()}
-_BINARY = {kind: {x: {y: op(x, y) for y in ALL_VALUES} for x in ALL_VALUES} for kind, op in {
+_BINARY = {kind: tuple([tuple([_CODE[op(x, y)] for y in ALL_VALUES]) for x in ALL_VALUES]) for kind, op in {
     fm.Conj: conj, fm.Amp: amp, fm.Disj: disj, fm.Imp: imp, fm.StrongImp: strong_imp,
     fm.Iff: iff, fm.StrongIff: strong_iff}.items()}
 
@@ -64,12 +68,13 @@ class Model(Value):
 
 def evaluate(f: fm.Formula, model: Model) -> TruthValue:
     """The truth value of a closed formula in the model."""
-    return _compile(f, model, (), 1, [0])([])
+    return ALL_VALUES[_compile(f, model, (), 1, [0])([])]
 
 
 def eval_prop(f: fm.Formula, assignment: Mapping[str, TruthValue]) -> TruthValue:
     """Evaluate a propositional formula under a letter assignment."""
-    return _compile(f, None, tuple(assignment), 1, [0])(tuple(assignment.values()))
+    codes = tuple([_CODE[value] for value in assignment.values()])
+    return ALL_VALUES[_compile(f, None, tuple(assignment), 1, [0])(codes)]
 
 
 def valid_prop(f: fm.Formula) -> tuple[bool, dict[str, TruthValue] | None]:
@@ -77,9 +82,9 @@ def valid_prop(f: fm.Formula) -> tuple[bool, dict[str, TruthValue] | None]:
     one, in ``itertools.product`` order over t, b, n, f, that falsifies it."""
     letters = fm.prop_letters(f)
     value = _compile(f, None, letters, 4 ** len(letters), [0])
-    for values in itertools.product(ALL_VALUES, repeat=len(letters)):
-        if not value(values).assertable:
-            return False, dict(zip(letters, values))
+    for codes in itertools.product(range(4), repeat=len(letters)):
+        if value(codes) > 1:
+            return False, dict(zip(letters, [ALL_VALUES[code] for code in codes]))
     return True, None
 
 
@@ -103,7 +108,7 @@ def _compile(f: fm.Formula, model: Model | None, scope: Sequence[str],
         right = _compile(f.right, model, scope, runs, spent)
         return lambda env: table[left(env)][right(env)]
     if isinstance(f, fm.Bottom):
-        return lambda env: F
+        return lambda env: _F
     if isinstance(f, fm.Prop):
         if model is None:
             slot = _slot(scope, f.name)
@@ -114,18 +119,18 @@ def _compile(f: fm.Formula, model: Model | None, scope: Sequence[str],
     if model is None:
         raise NotPropositional(type(f).__name__)
     if isinstance(f, fm.Quantifier):
-        universe, depth = model.universe, len(scope)
-        if not universe:
+        positions, depth = range(len(model.universe)), len(scope)
+        if not positions:
             raise EmptyUniverse()
-        body = _compile(f.body, model, (*scope, f.var), runs * len(universe), spent)
+        body = _compile(f.body, model, (*scope, f.var), runs * len(positions), spent)
         # forall is the /\ of its instances and exists their \/.
-        table, start = (_BINARY[fm.Conj], T) if isinstance(f, fm.Forall) else (_BINARY[fm.Disj], F)
+        table, start = (_BINARY[fm.Conj], _T) if isinstance(f, fm.Forall) else (_BINARY[fm.Disj], _F)
 
-        def quantify(env: list) -> TruthValue:
+        def quantify(env: list) -> int:
             env.append(None)
             value = start
-            for element in universe:
-                env[depth] = element
+            for position in positions:
+                env[depth] = position
                 value = table[value][body(env)]
             env.pop()
             return value
@@ -136,7 +141,7 @@ def _compile(f: fm.Formula, model: Model | None, scope: Sequence[str],
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _atom(relate: Callable[[DomainValue, DomainValue], TruthValue],
+def _atom(relate: Callable[[DomainValue, DomainValue], int],
           f: fm.Membership | fm.Equality, model: Model, scope: Sequence[str]) -> Compiled:
     """``relate`` on the values of the atom's terms: computed here when
     both are constants, tabulated over the universe when they read one
@@ -146,10 +151,11 @@ def _atom(relate: Callable[[DomainValue, DomainValue], TruthValue],
     for name, slot in zip(terms, slots):
         if slot is None and name not in model.env:
             raise UnresolvedName(name)
+    universe = model.universe
     if None not in slots and left != right:
-        return lambda env: relate(env[left], env[right])
+        return lambda env: relate(universe[env[left]], universe[env[right]])
 
-    def at(u: DomainValue | None) -> TruthValue:
+    def at(u: DomainValue | None) -> int:
         return relate(model.env[terms[0]] if left is None else u,
                       model.env[terms[1]] if right is None else u)
 
@@ -157,10 +163,9 @@ def _atom(relate: Callable[[DomainValue, DomainValue], TruthValue],
     if slot is None:
         value = at(None)
         return lambda env: value
-    # Keyed by identity: a slot only ever holds one of these very entries,
-    # and ``id`` skips the Python-level ``Value.__hash__``.
-    row = {id(u): at(u) for u in model.universe}
-    return lambda env: row[id(env[slot])]
+    # Built from a list: from a generator, 20 ``fo-eval`` rounds peaked 0.8 MiB higher (tracemalloc).
+    row = tuple([at(u) for u in universe])
+    return lambda env: row[env[slot]]
 
 
 def _weight(f: fm.Membership | fm.Equality, model: Model | None, scope: Sequence[str],
@@ -181,15 +186,15 @@ def _slot(scope: Sequence[str], name: str) -> int | None:
     return max((slot for slot, bound in enumerate(scope) if bound == name), default=None)
 
 
-def _member(x: DomainValue, s: DomainValue) -> TruthValue:
+def _member(x: DomainValue, s: DomainValue) -> int:
     if isinstance(s, NCSet) and isinstance(x, Element):
-        return s.member_tv(x)
-    return F  # only sets have members, and only elements are members
+        return _CODE[s.member_tv(x)]
+    return _F  # only sets have members, and only elements are members
 
 
-def _equal(x: DomainValue, y: DomainValue) -> TruthValue:
+def _equal(x: DomainValue, y: DomainValue) -> int:
     if isinstance(x, Element) and isinstance(y, Element):
-        return T if x == y else F
+        return _T if x == y else _F
     if isinstance(x, NCSet) and isinstance(y, NCSet):
-        return x.eq_tv(y)
-    return F  # an element is plainly not a set
+        return _CODE[x.eq_tv(y)]
+    return _F  # an element is plainly not a set

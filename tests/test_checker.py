@@ -14,7 +14,7 @@ from bzfc.cli import main
 from bzfc.errors import EmptyUniverse, GuardExceeded, NotPropositional, UnresolvedName
 from bzfc.formula import Exists, Forall, Neg, parse
 from bzfc.sets import Atom, NCSet
-from bzfc.truth import ALL_VALUES, B, F, N, T, neg
+from bzfc.truth import ALL_VALUES, B, F, N, T, TruthValue, neg
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
 
@@ -145,6 +145,42 @@ class TestEngine:
         m = Model(atoms, {"A": NCSet({atoms[0]}, atoms[1:], ())})
         assert evaluate(parse("forall x . forall y . x in A /\\ y in A"), m) == B
         assert len(calls) <= 12
+
+
+class TestCodes:
+    """The engine runs on codes 0-3 and universe positions, and turns
+    codes back into truth values only in its results."""
+
+    def test_no_truth_value_is_hashed_per_assignment(self, monkeypatch):
+        # Tables keyed by TruthValue hash one on every node run, 4**k
+        # times per node; tables indexed by code hash none.
+        hashes = []
+        monkeypatch.setattr(TruthValue, "__hash__", lambda v: hashes.append(v) or object.__hash__(v))
+        counts = []
+        for k in (3, 6):
+            letters = [f"p{i}" for i in range(k)]
+            assert valid_prop(parse("(" + " /\\ ".join(letters) + ") -> p0")) == (True, None)
+            counts.append(len(hashes))
+            hashes.clear()
+        assert counts[0] == counts[1], counts
+
+    def test_results_are_the_four_truth_values(self):
+        rng = random.Random(16)
+        entry, copy = NCSet({a}, {b}, {c}), NCSet({a}, {b}, {c})
+        env = {"a": a, "b": b, "A": entry, "B": NCSet(set(), {a, b}, set())}
+        twice = [Model([a, a, b, entry, entry], env), Model([a, Atom("a"), b, entry, copy], env)]
+        for i in range(300):
+            m = twice[i % 2] if i % 3 == 0 else random_model(rng)
+            f = random_closed_formula(rng, ["a", "b", "A", "B"])
+            assert any(evaluate(f, m) is value for value in ALL_VALUES), fm.render(f)
+        for _ in range(300):
+            f = random_prop(rng, "pqr", rng.randint(1, 4))
+            letters = fm.prop_letters(f)
+            assignment = dict(zip(letters, rng.choices(ALL_VALUES, k=len(letters))))
+            assert any(eval_prop(f, assignment) is value for value in ALL_VALUES), fm.render(f)
+            ok, witness = valid_prop(f)
+            assert ok == (witness is None)
+            assert all(type(value) is TruthValue for value in (witness or {}).values())
 
 
 WORK_ERROR = "error: the formula needs more than 8,388,608 node evaluations (the work limit)"
