@@ -20,8 +20,7 @@ _EXPORTS = {
     "numerosity": ("cong_tv", "preceq_tv"),
     "oracle": ("cong_brute", "enumerate_countings", "preceq_brute"),
     "parareal": ("ParaReal",),
-    "sets": ("Atom", "ClassicalFn", "Element", "EMPTY", "Nat", "NCSet", "Pair", "Tag",
-             "parse_element", "parse_ncset", "render_ncset"),
+    "sets": ("Atom", "ClassicalFn", "Element", "Nat", "NCSet", "Pair", "Tag", "parse_ncset"),
     "truth": ("ALL_VALUES", "B", "F", "N", "T", "TruthValue", "amp", "bang", "circ", "cneg",
               "conj", "disj", "iff", "imp", "neg", "query", "strong_iff", "strong_imp"),
 }

@@ -20,6 +20,7 @@ para-real this package prints reads back to itself.
 
 from __future__ import annotations
 
+from . import parareal
 from .errors import GuardExceeded
 from .numerosity import at_most, part_sizes, same_size
 from .parareal import ParaReal, product
@@ -35,17 +36,10 @@ MAX_LATTICE_BOUND = 6
 class ClassicalCard(Value):
     __slots__ = ()
 
-    @property
-    def is_finite(self) -> bool:
-        return isinstance(self, Fin)
-
     def __le__(self, other: "ClassicalCard") -> bool:
         if isinstance(self, Fin):
             return not isinstance(other, Fin) or self.n <= other.n
         return isinstance(other, Aleph) and self.index <= other.index
-
-    def __lt__(self, other: "ClassicalCard") -> bool:
-        return self <= other and self != other
 
     def __add__(self, other: "ClassicalCard") -> "ClassicalCard":
         if isinstance(self, Fin) and isinstance(other, Fin):
@@ -91,10 +85,6 @@ class Cardinal(Value):
     def finite(cls, t: int, b: int, n: int) -> "Cardinal":
         return cls(Fin(t), Fin(b), Fin(n))
 
-    @property
-    def is_finite(self) -> bool:
-        return self.kt.is_finite and self.kb.is_finite and self.kn.is_finite
-
     def decompose(self) -> tuple[ClassicalCard, ClassicalCard, ClassicalCard]:
         return (self.kt, self.kb, self.kn)
 
@@ -119,7 +109,7 @@ class Cardinal(Value):
                 continue
             if coeff == Fin(1):
                 parts.append(unit)
-            elif coeff.is_finite:
+            elif isinstance(coeff, Fin):
                 parts.append(f"{coeff}{unit}")
             else:
                 parts.append(f"{coeff} {unit}")
@@ -216,7 +206,7 @@ class _ArithParser(Cursor):
     def _unit(self):
         b = self.advance() == "b"
         if self.real:
-            return ParaReal(0, 1, 0) if b else ParaReal(0, 0, 1)
+            return parareal.B_UNIT if b else parareal.N_UNIT
         return B_UNIT if b else N_UNIT
 
 

@@ -36,7 +36,7 @@ from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping, Sequence, Union
 
 from . import formula as fm
-from .errors import EmptyUniverse, GuardExceeded, NotPropositional, UnresolvedName
+from .errors import GuardError, GuardExceeded, NotPropositional, UnresolvedName
 from .sets import Element, NCSet
 from .truth import ALL_VALUES, F, T, TruthValue, amp, bang, circ, cneg, conj, disj, iff, imp, neg, query, strong_iff, strong_imp
 from .value import Value
@@ -121,7 +121,7 @@ def _compile(f: fm.Formula, model: Model | None, scope: Sequence[str],
     if isinstance(f, fm.Quantifier):
         positions, depth = range(len(model.universe)), len(scope)
         if not positions:
-            raise EmptyUniverse()
+            raise GuardError("quantifier evaluated over an empty universe; declare one")
         body = _compile(f.body, model, (*scope, f.var), runs * len(positions), spent)
         # forall is the /\ of its instances and exists their \/.
         table, start = (_BINARY[fm.Conj], _T) if isinstance(f, fm.Forall) else (_BINARY[fm.Disj], _F)

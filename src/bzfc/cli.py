@@ -55,7 +55,7 @@ class Session:
 def load_session(path: str) -> Session:
     session = Session()
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             lines = handle.readlines()
     except (OSError, UnicodeDecodeError) as err:
         raise UnreadableFile(f"{path}: {getattr(err, 'strerror', None) or err}") from None

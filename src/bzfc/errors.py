@@ -47,14 +47,9 @@ class UnresolvedName(BZFCError):
 
 
 class GuardError(BZFCError):
-    """Base class for violated size/precondition guards."""
-
-
-class EmptyUniverse(GuardError):
-    """A quantifier was evaluated over an empty universe."""
-
-    def __init__(self):
-        super().__init__("quantifier evaluated over an empty universe; declare one")
+    """A violated precondition: a quantifier over an empty universe, a
+    para-real that is not invertible, or a codomain too short to count a
+    realm.  It carries only its message; GuardExceeded is the size case."""
 
 
 class NotPropositional(BZFCError):
@@ -79,18 +74,6 @@ class DomainError(BZFCError):
         self.missing = tuple(missing)
         listed = ", ".join(str(x) for x in self.missing)
         super().__init__(f"function does not cover realm elements: {listed}")
-
-
-class NotInvertible(GuardError):
-    """A para-real fails one of the three invertibility guards."""
-
-    def __init__(self, guard: str):
-        self.guard = guard
-        super().__init__(f"not invertible: {guard}")
-
-
-class PoolTooSmall(GuardError):
-    """A pebble codomain is smaller than the realm to be counted."""
 
 
 class GuardExceeded(GuardError):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Sequence
 
-from .errors import GuardExceeded, PoolTooSmall
+from .errors import GuardError, GuardExceeded
 from .sets import ClassicalFn, Element, NCSet
 from .truth import TruthValue
 
@@ -42,7 +42,7 @@ def enumerate_countings(a: NCSet, codomain: Sequence[Element]) -> Iterator[Class
     """All injections from the realm of ``a`` into the codomain."""
     realm = sorted(a.realm, key=str)
     if len(codomain) < len(realm):
-        raise PoolTooSmall(
+        raise GuardError(
             f"codomain of {len(codomain)} cannot count a realm of {len(realm)}")
     for chosen in itertools.permutations(codomain, len(realm)):
         yield ClassicalFn(zip(realm, chosen))

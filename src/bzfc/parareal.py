@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NotInvertible
+from .errors import GuardError
 from .value import Value
 
 Rational = Fraction | int | str
@@ -53,7 +53,7 @@ class ParaReal(Value):
         failed = [name for name, value in zip(("t component", "t+b sum", "t+n sum"), coords)
                   if value == 0]
         if failed:
-            raise NotInvertible(" and ".join(failed) + " zero")
+            raise GuardError("not invertible: " + " and ".join(failed) + " zero")
         t, tb, tn = (1 / value for value in coords)
         return ParaReal(t, tb - t, tn - t)
 

@@ -155,10 +155,10 @@ class NCSet(Value):
             {Tag(x, 0) for x in self.query_ext} | {Tag(y, 1) for y in other.query_ext})
 
     def __str__(self) -> str:
-        return render_ncset(self)
+        def braces(part: frozenset[Element]) -> str:
+            return "{" + ",".join(sorted(map(str, part))) + "}"
 
-
-EMPTY = NCSet()
+        return f"<{braces(self.bpart)}|{braces(self.tpart)}|{braces(self.npart)}>"
 
 
 # ---------------------------------------------------------------------------
@@ -171,19 +171,12 @@ class ClassicalFn:
     def __init__(self, graph: Mapping[Element, Element] | Iterable[tuple[Element, Element]]):
         self.graph = dict(graph)
 
-    def __call__(self, x: Element) -> Element:
-        return self.graph[x]
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ClassicalFn) and self.graph == other.graph
 
     def __repr__(self) -> str:
         rows = ", ".join(f"{k}->{v}" for k, v in sorted(self.graph.items(), key=lambda kv: str(kv[0])))
         return f"ClassicalFn({{{rows}}})"
-
-    @property
-    def domain(self) -> frozenset[Element]:
-        return frozenset(self.graph)
 
     def is_injection(self) -> bool:
         return len(set(self.graph.values())) == len(self.graph)
@@ -201,13 +194,6 @@ class ClassicalFn:
 
 # ---------------------------------------------------------------------------
 # Text literals
-
-
-def render_ncset(a: NCSet) -> str:
-    def braces(part: frozenset[Element]) -> str:
-        return "{" + ",".join(sorted(map(str, part))) + "}"
-
-    return f"<{braces(a.bpart)}|{braces(a.tpart)}|{braces(a.npart)}>"
 
 
 class _LiteralParser(Cursor):
@@ -269,11 +255,6 @@ class _LiteralParser(Cursor):
             return NCSet(first, second, third)
         self.expect(">")
         return NCSet.from_extensions(first, second)
-
-
-def parse_element(text: str) -> Element:
-    parser = _LiteralParser(text)
-    return parser.end(parser.element())
 
 
 def parse_elements(text: str) -> list[Element]:

@@ -24,11 +24,6 @@ class TruthValue(Value):
         return _BY_FLAGS[assertable, deniable]
 
     @property
-    def is_classical(self) -> bool:
-        """True when the value is t or f (exactly one flag set)."""
-        return self.assertable != self.deniable
-
-    @property
     def letter(self) -> str:
         if self.assertable:
             return "b" if self.deniable else "t"

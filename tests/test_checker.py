@@ -11,7 +11,7 @@ from bzfc import checker
 from bzfc import formula as fm
 from bzfc.checker import Model, eval_prop, evaluate, valid_prop
 from bzfc.cli import main
-from bzfc.errors import EmptyUniverse, GuardExceeded, NotPropositional, UnresolvedName
+from bzfc.errors import GuardError, GuardExceeded, NotPropositional, UnresolvedName
 from bzfc.formula import Exists, Forall, Neg, parse
 from bzfc.sets import Atom, NCSet
 from bzfc.truth import ALL_VALUES, B, F, N, T, TruthValue, neg
@@ -78,7 +78,7 @@ class TestEvaluation:
     def test_empty_universe_guards_quantifiers(self):
         m = Model((), {"a": a, "A": NCSet(set(), {a}, set())})
         assert evaluate(parse("a in A"), m) == T  # no quantifier, no universe needed
-        with pytest.raises(EmptyUniverse):
+        with pytest.raises(GuardError, match="empty universe"):
             evaluate(parse("forall x . x in A"), m)
 
 
@@ -94,10 +94,10 @@ class TestEngine:
         assert evaluate(parse("exists x . forall y . exists x . x = y"), m) == T
 
     @pytest.mark.parametrize("text, error, code", [
-        ("forall x . Z in A", EmptyUniverse, 4),
+        ("forall x . Z in A", GuardError, 4),
         ("Z in A /\\ forall x . x in A", UnresolvedName, 3),
-        ("(forall x . x in A) /\\ Z in A", EmptyUniverse, 4),
-        ("exists x . p", EmptyUniverse, 4),
+        ("(forall x . x in A) /\\ Z in A", GuardError, 4),
+        ("exists x . p", GuardError, 4),
     ])
     def test_errors_come_in_evaluation_order(self, capsys, text, error, code):
         # Over an empty universe, a quantifier raises before its body is

@@ -382,6 +382,13 @@ class TestSessions:
         assert session.universe == [Pair(Atom("a"), Nat(1)), session.bindings["A"],
                                     Tag(Atom("b"), 2), Pair(Atom("c"), Pair(Atom("d"), Atom("A")))]
 
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path):
+        # Editors on some systems save UTF-8 with a leading BOM.
+        path = tmp_path / "s.session"
+        path.write_bytes("let A = <{a}|{}|{}>\n".encode("utf-8-sig"))
+        code, out, err = run(capsys, "eval", "a in A", "--session", str(path))
+        assert (code, out, err) == (0, "b\n", "")
+
     def test_duplicate_binding_rejected(self, tmp_path):
         path = tmp_path / "s.session"
         path.write_text("let A = <{a}|{}|{}>\nlet A = <{}|{}|{}>\n")

@@ -9,7 +9,7 @@ import pytest
 from helpers import random_ncset
 from test_sets import two_atom_family
 from bzfc import oracle
-from bzfc.errors import GuardExceeded, PoolTooSmall
+from bzfc.errors import GuardError, GuardExceeded
 from bzfc.numerosity import cong_tv, preceq_tv
 from bzfc.oracle import (MAX_REALM_SIZE, _pebbles, _Pebble, cong_brute,
                          enumerate_countings, preceq_brute)
@@ -57,10 +57,10 @@ class TestEnumeration:
         s = NCSet({a}, {b}, {c})
         for counting in enumerate_countings(s, [c, d, Atom("e"), Atom("g")]):
             assert counting.is_injection()
-            assert counting.domain == s.realm
+            assert counting.graph.keys() == s.realm
 
     def test_pool_too_small(self):
-        with pytest.raises(PoolTooSmall):
+        with pytest.raises(GuardError, match="codomain of 1 cannot count a realm of 2"):
             list(enumerate_countings(NCSet({a}, {b}, set()), [c]))
 
 

@@ -4,7 +4,9 @@ Each check that looks at ``sys.modules`` runs in a fresh interpreter,
 since the test process has imported every module already.
 """
 
+import ast
 import importlib
+import pathlib
 import subprocess
 import sys
 
@@ -84,3 +86,28 @@ def test_unknown_name_raises_attribute_error():
 def test_submodule_import_goes_through_the_import_system():
     from bzfc import cli
     assert cli is sys.modules["bzfc.cli"]
+
+
+def used_names(tree: ast.AST) -> set[str]:
+    """Every name the module reads, counting quoted annotations."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:  # a forward reference such as "NCSet" or "list[Element]"
+                names |= used_names(ast.parse(node.value, mode="eval"))
+            except SyntaxError:
+                pass
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(pathlib.Path(bzfc.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+               and getattr(node, "module", None) != "__future__"]
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in imports for alias in node.names}
+    assert sorted(imported - used_names(tree)) == []

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from bzfc.errors import DisjointnessViolation, DomainError, ParseError
 from bzfc.selfcheck import two_atom_family
 from bzfc.sets import (Atom, ClassicalFn, Nat, NCSet, Pair, Tag,
-                       parse_element, parse_ncset, render_ncset)
+                       parse_elements, parse_ncset)
 from bzfc.truth import B, F, N, T, conj, disj, neg
 
 A_ = Atom("a")
@@ -245,9 +245,10 @@ class TestImages:
         # Equal but separately built keys cover the realm as its own elements do.
         s = NCSet({Atom("a")}, {Pair(Atom("b"), Nat(1))}, {Tag(Nat(2), 0), Atom("d")})
         keys = sorted(s.realm, key=str)
-        f = ClassicalFn({parse_element(str(x)): Nat(i) for i, x in enumerate(keys)})
+        rebuilt = parse_elements(" ".join(map(str, keys)))
+        f = ClassicalFn({y: Nat(i) for i, y in enumerate(rebuilt)})
         assert not {id(k) for k in f.graph} & {id(x) for x in s.realm}
-        assert f.image(s) == ClassicalFn({x: f(x) for x in s.realm}).image(s)
+        assert f.image(s) == ClassicalFn({x: f.graph[x] for x in s.realm}).image(s)
         assert f.image(s) == NCSet({Nat(2)}, {Nat(0)}, {Nat(1), Nat(3)})
 
     def test_is_injection(self):
@@ -307,7 +308,8 @@ class TestAgainstPointwiseDefinitions:
             for a in self.SETS3:
                 joined = {}
                 for x in a.realm:
-                    joined[f(x)] = disj(joined.get(f(x), F), a.member_tv(x))
+                    y = f.graph[x]
+                    joined[y] = disj(joined.get(y, F), a.member_tv(x))
                 got = f.image(a)
                 assert got.realm <= set(codomain)
                 for y in codomain:
@@ -361,11 +363,8 @@ class TestLiterals:
         assert parse_ncset("<{}|{}|{}>") == NCSet()
 
     def test_element_kinds(self):
-        assert parse_element("a") == A_
-        assert parse_element("42") == Nat(42)
-        assert parse_element("(a,7)") == Pair(A_, Nat(7))
-        assert parse_element("a@0") == Tag(A_, 0)
-        assert parse_element("(a,b)@1@0") == Tag(Tag(Pair(A_, B_), 1), 0)
+        assert parse_elements("a 42 (a,7) a@0 (a,b)@1@0") == [
+            A_, Nat(42), Pair(A_, Nat(7)), Tag(A_, 0), Tag(Tag(Pair(A_, B_), 1), 0)]
 
     def test_whitespace_tolerated(self):
         assert parse_ncset(" < {a , b} | {c} | {} > ") == NCSet({A_, B_}, {C_}, set())
@@ -383,11 +382,11 @@ class TestLiterals:
 
     @given(ncsets())
     def test_render_round_trips(self, s):
-        assert parse_ncset(render_ncset(s)) == s
+        assert parse_ncset(str(s)) == s
 
     def test_render_is_sorted_three_part(self):
-        assert render_ncset(NCSet({B_, A_}, {C_}, set())) == "<{a,b}|{c}|{}>"
+        assert str(NCSet({B_, A_}, {C_}, set())) == "<{a,b}|{c}|{}>"
 
     def test_tagged_and_paired_round_trip(self):
         s = NCSet({Tag(A_, 0)}, {Pair(B_, Nat(3))}, {Tag(Pair(A_, B_), 1)})
-        assert parse_ncset(render_ncset(s)) == s
+        assert parse_ncset(str(s)) == s
