@@ -20,13 +20,17 @@ codes, indexed by position, serves all |U|^d instances of the quantifiers
 above it.  Only an atom over two distinct bound variables is computed per
 instance; no table outgrows the universe.  One budget, ``MAX_WORK``, bounds
 the work: as it is compiled, before its children, each node is charged the
-times it will run (4^k under ``valid_prop``, |U|^d below d binders, once
+most times it can run (4^k under ``valid_prop``, |U|^d below d binders, once
 under ``eval_prop``), times the printed length of the longest entry for an
 atom computed per instance, which compares two.  An unresolved name, an
-empty universe or work past the limit raises as it is compiled: no connective
-short-circuits and each quantifier runs its body, so the first one a
-walk of the tree meets is the first one evaluation would meet.
-``valid_prop`` calls the compiled formula on each of the 4^k assignments.
+empty universe or work past the limit raises as it is compiled, the first one
+a walk of the tree meets, so the compiled formula raises nothing.  At run time
+a binary node skips its right operand when the left code fixes the result,
+that is, when the left code's row of the table is constant (``_FIXED``: f for
+/\\ and =>, t for \\/, n and f for & and ->; none for <-> and <=>), as
+McCarthy's conditional and/or do; each quantifier runs its body on every
+instance.  ``valid_prop`` calls the compiled formula on each of the 4^k
+assignments.
 """
 
 from __future__ import annotations
@@ -54,6 +58,9 @@ _UNARY = {kind: tuple([_CODE[op(x)] for x in ALL_VALUES]) for kind, op in {
 _BINARY = {kind: tuple([tuple([_CODE[op(x, y)] for y in ALL_VALUES]) for x in ALL_VALUES]) for kind, op in {
     fm.Conj: conj, fm.Amp: amp, fm.Disj: disj, fm.Imp: imp, fm.StrongImp: strong_imp,
     fm.Iff: iff, fm.StrongIff: strong_iff}.items()}
+# For each left code, the result it fixes whatever the right code (a constant row), else None.
+_FIXED = {kind: tuple([row[0] if len(set(row)) == 1 else None for row in table])
+          for kind, table in _BINARY.items()}
 
 
 class Model(Value):
@@ -106,7 +113,8 @@ def _compile(f: fm.Formula, model: Model | None, scope: Sequence[str],
     if table is not None:
         left = _compile(f.left, model, scope, runs, spent)
         right = _compile(f.right, model, scope, runs, spent)
-        return lambda env: table[left(env)][right(env)]
+        fixed = _FIXED[type(f)]
+        return lambda env: table[x][right(env)] if fixed[x := left(env)] is None else fixed[x]
     if isinstance(f, fm.Bottom):
         return lambda env: _F
     if isinstance(f, fm.Prop):

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from helpers import random_closed_formula, random_model, truth_value_by_satisfaction
+from helpers import random_closed_formula, random_model, sat_neg, sat_pos, truth_value_by_satisfaction
 from bzfc import checker
 from bzfc import formula as fm
 from bzfc.checker import Model, eval_prop, evaluate, valid_prop
@@ -300,6 +300,71 @@ class TestWorkBudget:
         assert sorted(rendered) == ["aaa", "b"]
         assert evaluate(parse("forall x . forall y . x = x /\\ y in y"), m) == F
         assert sorted(rendered) == ["aaa", "b"]  # no such atom, no rendering
+
+
+class TestLazyConnectives:
+    """A binary node skips its right operand when the left code fixes the
+    result; every error is still raised as the formula is compiled."""
+
+    @staticmethod
+    def count_equal(monkeypatch) -> list:
+        calls = []
+        equal = checker._equal
+        monkeypatch.setattr(checker, "_equal", lambda x, y: calls.append((x, y)) or equal(x, y))
+        return calls
+
+    @pytest.mark.parametrize("kind", list(checker._BINARY), ids=lambda k: k.__name__)
+    def test_skips_exactly_the_constant_rows(self, monkeypatch, kind):
+        # The left operand is c in P, with P holding c in the part for its
+        # value; the right, x = y, is computed per instance, so each call
+        # of _equal is one run of the right operand.
+        calls = self.count_equal(monkeypatch)
+        right = fm.Equality(fm.Term("x"), fm.Term("y"))
+        for code, (value, row) in enumerate(zip(ALL_VALUES, checker._BINARY[kind])):
+            part = _PARTS[value]
+            m = Model([_C], {"c": _C, "P": NCSet(**({part: {_C}} if part else {}))})
+            f = Forall("x", Forall("y", kind(fm.Membership(fm.Term("c"), fm.Term("P")), right)))
+            calls.clear()
+            assert evaluate(f, m) == truth_value_by_satisfaction(f, m), value
+            assert len(calls) == (len(set(row)) > 1), (value, row)
+            assert checker._FIXED[kind][code] == (row[0] if len(set(row)) == 1 else None)
+
+    def test_right_operand_runs_only_where_left_is_not_f(self, monkeypatch):
+        # forall does not stop early, so the conjunction runs on every
+        # instance, and its right operand wherever x in A is not f.
+        calls = self.count_equal(monkeypatch)
+        rng = random.Random(18)
+        f = parse("forall x . forall y . (x in A /\\ x = y)")
+        left = parse("x in A")
+        runs = []
+        for _ in range(60):
+            m = random_model(rng)
+            calls.clear()
+            assert evaluate(f, m) == truth_value_by_satisfaction(f, m)
+            not_f = [u for u in m.universe
+                     if sat_pos(left, m, {"x": u}) or not sat_neg(left, m, {"x": u})]
+            assert len(calls) == len(not_f) * len(m.universe)
+            runs.append(len(calls) / len(m.universe) ** 2)
+        assert min(runs) < 1 and max(runs) > 0, runs
+
+    @pytest.mark.parametrize("command, text, session, code", [
+        ("eval", "false /\\ x in Q", False, 3),
+        ("eval", "false -> forall x . x = x", False, 4),
+        ("eval", "false /\\ (" + TestInstanceGuard.TOO_DEEP + ")", True, 4),
+        ("eval", "a = a \\/ (" + TestInstanceGuard.TOO_DEEP + ")", True, 4),
+        ("valid", "false /\\ (" + " \\/ ".join(f"p{i}" for i in range(10)) + ")", False, 4),
+    ])
+    def test_errors_in_a_skipped_operand_still_surface(self, capsys, tmp_path,
+                                                       command, text, session, code):
+        argv = [command, text]
+        if session:
+            path = tmp_path / "s.session"
+            path.write_text("universe a b c d e\nlet A = <{a}|{b}|{}>\n")
+            argv += ["--session", str(path)]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert (err == WORK_ERROR + "\n") == (session or command == "valid")
 
 
 class TestAgainstSatisfactionRecursion:
