@@ -20,6 +20,8 @@ para-real this package prints reads back to itself.
 
 from __future__ import annotations
 
+from functools import cache
+
 from . import parareal
 from .errors import GuardExceeded
 from .numerosity import at_most, part_sizes, same_size
@@ -47,8 +49,8 @@ class ClassicalCard(Value):
         return self if other <= self else other
 
     def __mul__(self, other: "ClassicalCard") -> "ClassicalCard":
-        if self == Fin(0) or other == Fin(0):
-            return Fin(0)
+        if self == _FIN0 or other == _FIN0:
+            return _FIN0
         if isinstance(self, Fin) and isinstance(other, Fin):
             return Fin(self.n * other.n)
         return self if other <= self else other
@@ -78,6 +80,9 @@ class Aleph(ClassicalCard):
         return f"aleph{self.index}"
 
 
+_FIN0, _FIN1 = Fin(0), Fin(1)
+
+
 class Cardinal(Value):
     __slots__ = ("kt", "kb", "kn")
 
@@ -102,12 +107,12 @@ class Cardinal(Value):
 
     def __str__(self) -> str:
         parts = []
-        if self.kt != Fin(0):
+        if self.kt != _FIN0:
             parts.append(str(self.kt))
         for coeff, unit in ((self.kb, "b"), (self.kn, "n")):
-            if coeff == Fin(0):
+            if coeff == _FIN0:
                 continue
-            if coeff == Fin(1):
+            if coeff == _FIN1:
                 parts.append(unit)
             elif isinstance(coeff, Fin):
                 parts.append(f"{coeff}{unit}")
@@ -258,10 +263,11 @@ def finite_lattice(bounds: tuple[int, int, int]) -> tuple[list[Cardinal], list[t
 def lattice_dot(bounds: tuple[int, int, int]) -> str:
     """The order diagram as DOT text; node labels are cardinal literals."""
     nodes, edges = finite_lattice(bounds)
+    label = cache('"{}"'.format)  # each cardinal is rendered once
     lines = ["digraph cardinal_order {"]
     for node in nodes:
-        lines.append(f'  "{node}";')
+        lines.append(f"  {label(node)};")
     for src, dst in edges:
-        lines.append(f'  "{src}" -> "{dst}";')
+        lines.append(f"  {label(src)} -> {label(dst)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from test_sets import ncsets
 from bzfc.cardinal import (Aleph, B_UNIT, Cardinal, Fin, N_UNIT, ONE, ZERO,
-                           card_of, finite_lattice, lattice_dot)
+                           card_of, eval_arith, finite_lattice, lattice_dot)
 from bzfc.errors import GuardExceeded
 from bzfc.numerosity import cong_tv, preceq_tv
 from bzfc.sets import Atom, NCSet
@@ -312,6 +312,20 @@ class TestLattice:
         assert '"0";' in dot
         assert "->" not in dot
 
+    def test_dot_lists_nodes_then_edges_rendering_each_label_once(self, monkeypatch):
+        render = Cardinal.__str__
+        rendered = []
+        monkeypatch.setattr(Cardinal, "__str__", lambda k: rendered.append(k) or render(k))
+        for bounds in [*itertools.product(range(3), repeat=3), (6, 6, 6)]:
+            nodes, edges = finite_lattice(bounds)
+            lines = ["digraph cardinal_order {"]
+            lines += [f'  "{render(k)}";' for k in nodes]
+            lines += [f'  "{render(s)}" -> "{render(t)}";' for s, t in edges]
+            lines.append("}")
+            rendered.clear()
+            assert lattice_dot(bounds) == "\n".join(lines) + "\n", bounds
+            assert len(rendered) == len(nodes), bounds
+
 
 class TestRendering:
     def test_literals(self):
@@ -322,3 +336,13 @@ class TestRendering:
         assert str(Cardinal.finite(3, 2, 1)) == "3 + 2b + n"
         assert str(ALEPH0_PLUS_B) == "aleph0 + b"
         assert str(Cardinal(Fin(0), Aleph(1), Fin(0))) == "aleph1 b"
+
+    def test_rendering_and_zero_products_build_no_classical_cardinal(self, monkeypatch):
+        cards = [ZERO, ONE, B_UNIT, N_UNIT, Cardinal.finite(3, 2, 1), eval_arith("aleph0 + b")]
+        zero, aleph1 = Fin(0), Aleph(1)
+        init = Fin.__init__
+        built = []
+        monkeypatch.setattr(Fin, "__init__", lambda self, n: built.append(n) or init(self, n))
+        assert [str(k) for k in cards] == ["0", "1", "b", "n", "3 + 2b + n", "aleph0 + b"]
+        assert zero * aleph1 == aleph1 * zero == zero
+        assert built == []
