@@ -1,9 +1,9 @@
 """Cardinal numbers for finite non-classical sets.
 
-A classical cardinal is a natural number or a symbolic aleph with a
-small index; sums and products with an infinite operand follow the
-usual absorption rule (the maximum, except that a zero factor kills a
-product).
+A classical cardinal is a natural number, held as a plain ``int``, or
+an ``Aleph``, a symbolic aleph with a small index; sums and products
+with an infinite operand follow the usual absorption rule (the maximum,
+except that a zero factor kills a product), which ``Aleph`` carries.
 
 A ``Cardinal`` is a triple (kt, kb, kn) of classical cardinals, read as
 kt + kb*b + kn*n where b and n are the sizes of the one-element purely
@@ -35,40 +35,11 @@ MAX_ALEPH_INDEX = 15
 MAX_LATTICE_BOUND = 6
 
 
-class ClassicalCard(Value):
-    __slots__ = ()
+class Aleph(Value):
+    """An infinite classical cardinal, above every ``int``.  It alone holds
+    the absorption rule: a sum is its larger operand, and so is a product,
+    unless the other factor is 0.  Between ``int``s, arithmetic is Python's."""
 
-    def __le__(self, other: "ClassicalCard") -> bool:
-        if isinstance(self, Fin):
-            return not isinstance(other, Fin) or self.n <= other.n
-        return isinstance(other, Aleph) and self.index <= other.index
-
-    def __add__(self, other: "ClassicalCard") -> "ClassicalCard":
-        if isinstance(self, Fin) and isinstance(other, Fin):
-            return Fin(self.n + other.n)
-        return self if other <= self else other
-
-    def __mul__(self, other: "ClassicalCard") -> "ClassicalCard":
-        if self == _FIN0 or other == _FIN0:
-            return _FIN0
-        if isinstance(self, Fin) and isinstance(other, Fin):
-            return Fin(self.n * other.n)
-        return self if other <= self else other
-
-
-class Fin(ClassicalCard):
-    __slots__ = ("n",)
-
-    def __init__(self, n: int):
-        if n < 0:
-            raise ValueError(f"a cardinal cannot be negative: {n}")
-        self._assign(n)
-
-    def __str__(self) -> str:
-        return str(self.n)
-
-
-class Aleph(ClassicalCard):
     __slots__ = ("index",)
 
     def __init__(self, index: int):
@@ -76,19 +47,35 @@ class Aleph(ClassicalCard):
             raise ValueError(f"aleph index must be in 0..{MAX_ALEPH_INDEX}: {index}")
         self._assign(index)
 
+    def __le__(self, other: "ClassicalCard") -> bool:
+        return isinstance(other, Aleph) and self.index <= other.index
+
+    def __ge__(self, other: "ClassicalCard") -> bool:
+        return not isinstance(other, Aleph) or self.index >= other.index
+
+    def __add__(self, other: "ClassicalCard") -> "ClassicalCard":
+        return self if self >= other else other
+
+    def __mul__(self, other: "ClassicalCard") -> "ClassicalCard":
+        return 0 if other == 0 else self + other
+
+    __radd__, __rmul__ = __add__, __mul__
+
     def __str__(self) -> str:
         return f"aleph{self.index}"
 
 
-_FIN0, _FIN1 = Fin(0), Fin(1)
+ClassicalCard = int | Aleph
 
 
 class Cardinal(Value):
     __slots__ = ("kt", "kb", "kn")
 
-    @classmethod
-    def finite(cls, t: int, b: int, n: int) -> "Cardinal":
-        return cls(Fin(t), Fin(b), Fin(n))
+    def __init__(self, kt: ClassicalCard = 0, kb: ClassicalCard = 0, kn: ClassicalCard = 0):
+        for k in (kt, kb, kn):
+            if not 0 <= k:
+                raise ValueError(f"a cardinal cannot be negative: {k}")
+        self._assign(kt, kb, kn)
 
     def decompose(self) -> tuple[ClassicalCard, ClassicalCard, ClassicalCard]:
         return (self.kt, self.kb, self.kn)
@@ -107,29 +94,29 @@ class Cardinal(Value):
 
     def __str__(self) -> str:
         parts = []
-        if self.kt != _FIN0:
+        if self.kt != 0:
             parts.append(str(self.kt))
         for coeff, unit in ((self.kb, "b"), (self.kn, "n")):
-            if coeff == _FIN0:
+            if coeff == 0:
                 continue
-            if coeff == _FIN1:
+            if coeff == 1:
                 parts.append(unit)
-            elif isinstance(coeff, Fin):
+            elif isinstance(coeff, int):
                 parts.append(f"{coeff}{unit}")
             else:
                 parts.append(f"{coeff} {unit}")
         return " + ".join(parts) if parts else "0"
 
 
-ZERO = Cardinal.finite(0, 0, 0)
-ONE = Cardinal.finite(1, 0, 0)
-B_UNIT = Cardinal.finite(0, 1, 0)
-N_UNIT = Cardinal.finite(0, 0, 1)
+ZERO = Cardinal(0, 0, 0)
+ONE = Cardinal(1, 0, 0)
+B_UNIT = Cardinal(0, 1, 0)
+N_UNIT = Cardinal(0, 0, 1)
 
 
 def card_of(a: NCSet) -> Cardinal:
     """The cardinal of a finite set: its three part sizes."""
-    return Cardinal.finite(*part_sizes(a))
+    return Cardinal(*part_sizes(a))
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +181,7 @@ class _ArithParser(Cursor):
             return value
         if kind == "nat":
             n = self.nat()
-            return ParaReal(n) if self.real else Cardinal.finite(n, 0, 0)
+            return ParaReal(n) if self.real else Cardinal(n)
         if kind in _UNITS:
             return self._unit()
         word = self.word
@@ -205,7 +192,7 @@ class _ArithParser(Cursor):
             if index > MAX_ALEPH_INDEX:
                 raise GuardExceeded(f"aleph index above {MAX_ALEPH_INDEX} at position {self.pos}")
             self.advance()
-            return Cardinal(Aleph(index), Fin(0), Fin(0))
+            return Cardinal(Aleph(index))
         raise self.fail({"number", "'b'", "'n'", "'('"})
 
     def _unit(self):
@@ -245,18 +232,18 @@ def finite_lattice(bounds: tuple[int, int, int]) -> tuple[list[Cardinal], list[t
     for t in range(bt + 1):
         for b in range(bb + 1):
             for n in range(bn + 1):
-                src = Cardinal.finite(t, b, n)
+                src = Cardinal(t, b, n)
                 nodes.append(src)
                 if n < bn:
-                    edges.append((src, Cardinal.finite(t, b, n + 1)))
+                    edges.append((src, Cardinal(t, b, n + 1)))
                 if b < bb:
-                    edges.append((src, Cardinal.finite(t, b + 1, n)))
+                    edges.append((src, Cardinal(t, b + 1, n)))
                 if t < bt:
                     if b:
-                        edges.append((src, Cardinal.finite(t + 1, b - 1, n)))
+                        edges.append((src, Cardinal(t + 1, b - 1, n)))
                     if n:
-                        edges.append((src, Cardinal.finite(t + 1, b, n - 1)))
-                    edges.append((src, Cardinal.finite(t + 1, b, n)))
+                        edges.append((src, Cardinal(t + 1, b, n - 1)))
+                    edges.append((src, Cardinal(t + 1, b, n)))
     return nodes, edges
 
 

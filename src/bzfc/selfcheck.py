@@ -156,7 +156,7 @@ def _random_cardinal(rng: random.Random) -> cardinal.Cardinal:
     def component() -> cardinal.ClassicalCard:
         if rng.random() < 0.15:
             return cardinal.Aleph(rng.randint(0, 2))
-        return cardinal.Fin(rng.randint(0, 3))
+        return rng.randint(0, 3)
 
     return cardinal.Cardinal(component(), component(), component())
 

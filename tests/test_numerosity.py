@@ -96,8 +96,8 @@ def signature_set(t: int, b: int, n: int) -> NCSet:
 class TestSignatures:
     """All 5,184 pairs of the 72 part-size signatures with parts up to 4
     and realms up to 6: the set comparisons give what the cardinal ones
-    give on the sets' cardinals, so the shared closed forms read the
-    same over ints as over ``Fin`` coefficients."""
+    give on the sets' cardinals, whose coefficients are the part sizes
+    the closed forms read."""
 
     SIGNATURES = [sig for sig in itertools.product(range(5), repeat=3) if sum(sig) <= 6]
 

@@ -100,9 +100,8 @@ class TestAgreementWithCardinals:
            st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
     def test_products_match_on_naturals(self, t1, b1, n1, t2, b2, n2):
         x = ParaReal(t1, b1, n1) * ParaReal(t2, b2, n2)
-        k = Cardinal.finite(t1, b1, n1) * Cardinal.finite(t2, b2, n2)
-        kt, kb, kn = k.decompose()
-        assert (x.xt, x.xb, x.xn) == (kt.n, kb.n, kn.n)
+        k = Cardinal(t1, b1, n1) * Cardinal(t2, b2, n2)
+        assert (x.xt, x.xb, x.xn) == k.decompose()
 
 
 class TestRendering:

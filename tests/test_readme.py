@@ -1,5 +1,6 @@
-"""The README's CLI quickstart, run as written: each ``$ bzfc ...`` line
-through ``cli.main``, its standard output against the lines after it."""
+"""The README's CLI quickstart and library example, run as written: each
+``$ bzfc ...`` line through ``cli.main``, its standard output against the
+lines after it, and each ``print`` of the example against its comment."""
 
 import shlex
 from pathlib import Path
@@ -39,3 +40,14 @@ def test_quickstart_transcript(capsys, tmp_path, monkeypatch):
         else:  # only the exit code is checked for output sent to a file
             assert expected == []
     assert sum(argv[0] == "bzfc" for argv, _ in steps) == 12
+
+
+def test_library_use(capsys):
+    # A print line's comment is its output, up to any ": " note.
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [line.split("# ", 1)[1].split(": ", 1)[0]
+                for line in block.splitlines() if line.startswith("print(")]
+    exec(block, {})
+    assert capsys.readouterr().out.splitlines() == expected
+    assert len(expected) == 7
