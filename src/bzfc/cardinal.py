@@ -141,7 +141,8 @@ class _ArithParser(Cursor):
 
     def _real_only(self) -> None:
         if not self.real:
-            raise self.fail((), f"{self.word!r} needs --real (cardinals have no subtraction)")
+            lacks = "division" if self.kind == "/" else "subtraction"
+            raise self.fail((), f"{self.word!r} needs --real (cardinals have no {lacks})")
 
     def expr(self):
         value = self.term()
@@ -227,24 +228,17 @@ def finite_lattice(bounds: tuple[int, int, int]) -> tuple[list[Cardinal], list[t
     bt, bb, bn = bounds
     if min(bounds) < 0 or max(bounds) > MAX_LATTICE_BOUND:
         raise GuardExceeded(f"lattice bounds must be within 0..{MAX_LATTICE_BOUND}: {bounds}")
-    nodes: list[Cardinal] = []
+    grid = {(t, b, n): Cardinal(t, b, n)
+            for t in range(bt + 1) for b in range(bb + 1) for n in range(bn + 1)}
     edges: list[tuple[Cardinal, Cardinal]] = []
-    for t in range(bt + 1):
-        for b in range(bb + 1):
-            for n in range(bn + 1):
-                src = Cardinal(t, b, n)
-                nodes.append(src)
-                if n < bn:
-                    edges.append((src, Cardinal(t, b, n + 1)))
-                if b < bb:
-                    edges.append((src, Cardinal(t, b + 1, n)))
-                if t < bt:
-                    if b:
-                        edges.append((src, Cardinal(t + 1, b - 1, n)))
-                    if n:
-                        edges.append((src, Cardinal(t + 1, b, n - 1)))
-                    edges.append((src, Cardinal(t + 1, b, n)))
-    return nodes, edges
+    for (t, b, n), src in grid.items():
+        # The steps in target order; one that leaves the grid has no node.
+        for step in ((t, b, n + 1), (t, b + 1, n), (t + 1, b - 1, n), (t + 1, b, n - 1),
+                     (t + 1, b, n)):
+            dst = grid.get(step)
+            if dst is not None:
+                edges.append((src, dst))
+    return list(grid.values()), edges
 
 
 def lattice_dot(bounds: tuple[int, int, int]) -> str:

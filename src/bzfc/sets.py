@@ -171,13 +171,6 @@ class ClassicalFn:
     def __init__(self, graph: Mapping[Element, Element] | Iterable[tuple[Element, Element]]):
         self.graph = dict(graph)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ClassicalFn) and self.graph == other.graph
-
-    def __repr__(self) -> str:
-        rows = ", ".join(f"{k}->{v}" for k, v in sorted(self.graph.items(), key=lambda kv: str(kv[0])))
-        return f"ClassicalFn({{{rows}}})"
-
     def is_injection(self) -> bool:
         return len(set(self.graph.values())) == len(self.graph)
 

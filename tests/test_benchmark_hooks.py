@@ -37,14 +37,30 @@ def test_hook_is_defined_where_the_tracer_looks(module, owner, attr):
     assert attr in holder.__dict__
 
 
-def test_cli_binds_the_library_entry_points_it_calls():
-    # The tracer swaps a wrapped function wherever a loaded module binds
-    # it, so the CLI's calls are traced only while it binds them by name.
-    from bzfc import cardinal, checker, cli, formula
-    assert cli.eval_arith is cardinal.eval_arith
-    assert cli.evaluate is checker.evaluate
-    assert cli.valid_prop is checker.valid_prop
+def test_cli_binds_the_library_entry_points_it_calls(monkeypatch):
+    # The tracer swaps a wrapper in wherever a loaded module binds an entry
+    # point.  The commands import the library's functions when they run, so
+    # they read each one from its module at call time and reach the wrapper;
+    # ``eval_arith`` and ``parse_formula`` are bound in ``cli`` itself.
+    from bzfc import cardinal, checker, cli, formula, numerosity
     assert cli.parse_formula is formula.parse
+    reached = []
+
+    def spy(holder, name):
+        original = getattr(holder, name)
+        monkeypatch.setattr(holder, name,
+                            lambda *args, **kwargs: reached.append(name) or original(*args, **kwargs))
+
+    sets = ["<{a}|{}|{}>", "<{}|{b}|{}>"]
+    for holder, name, argv in [(checker, "evaluate", ["eval", "false"]),
+                               (checker, "valid_prop", ["valid", "p"]),
+                               (cli, "eval_arith", ["arith", "b"]),
+                               (numerosity, "cong_tv", ["cmp", *sets]),
+                               (numerosity, "preceq_tv", ["cmp", *sets]),
+                               (cardinal, "lattice_dot", ["lattice", "1", "0", "0"])]:
+        spy(holder, name)
+        assert cli.main(argv) == 0
+        assert reached[-1:] == [name], argv
 
 
 def test_parser_writes_out_restricted_binders_through_desugar(monkeypatch):

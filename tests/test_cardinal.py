@@ -311,6 +311,11 @@ class TestLattice:
             assert pairs == sorted(pairs), bounds
             assert set(pairs) == expected_step_edges(bounds), bounds
 
+    def test_edges_join_the_node_objects(self):
+        nodes, edges = finite_lattice((6, 6, 6))
+        ids = set(map(id, nodes))
+        assert all(id(s) in ids and id(t) in ids for s, t in edges)
+
     def test_guard(self):
         with pytest.raises(GuardExceeded):
             finite_lattice((7, 0, 0))

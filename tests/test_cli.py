@@ -136,6 +136,7 @@ class TestArith:
 
     def test_aleph(self, capsys):
         assert run(capsys, "arith", "aleph0 + b")[:2] == (0, "aleph0 + b\n")
+        assert run(capsys, "arith", "aleph15")[:2] == (0, "aleph15\n")  # the largest index
 
     def test_real_division_identity(self, capsys):
         assert run(capsys, "arith", "--real", "(1 + b) / (1 + b)")[:2] == (0, "1\n")
@@ -145,8 +146,11 @@ class TestArith:
         assert (code, out) == (0, "3/2 + 1/3 b - 2 n\n")
 
     def test_cardinal_subtraction_rejected(self, capsys):
-        assert run(capsys, "arith", "b - n")[0] == 2
-        assert run(capsys, "arith", "1 / b")[0] == 2
+        for expr, lacks in [("b - n", "subtraction"), ("-b", "subtraction"),
+                            ("1 / b", "division")]:
+            code, out, err = run(capsys, "arith", expr)
+            assert (code, out) == (2, "")
+            assert f"needs --real (cardinals have no {lacks})" in err
 
     def test_not_invertible_is_a_guard(self, capsys):
         code, _, err = run(capsys, "arith", "--real", "1 / b")
@@ -167,6 +171,7 @@ class TestArith:
         assert run(capsys, "arith", "2 +")[0] == 2
         assert run(capsys, "arith", "(1 + b")[0] == 2
         assert run(capsys, "arith", "--real", "aleph0")[0] == 2
+        assert run(capsys, "arith", "alpha3")[0] == 2
 
 
 TOO_LONG = "9" * 5000  # more digits than int() and str() convert by default

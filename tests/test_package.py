@@ -59,6 +59,32 @@ def test_cli_leaves_the_self_check_unloaded():
     assert "bzfc.selfcheck" not in imported
 
 
+def bz(*names: str) -> set[str]:
+    return {f"bzfc.{name}" for name in names}
+
+
+# Each command, the modules it needs and modules it must leave unloaded.
+COMMANDS = [
+    (["parse", "false"], set(),
+     bz("cardinal", "parareal", "checker", "numerosity", "oracle", "selfcheck") | {"fractions"}),
+    (["valid", "p"], bz("checker"), bz("cardinal", "parareal", "numerosity")),
+    (["eval", "false"], bz("checker"), bz("cardinal", "parareal", "numerosity")),
+    (["cmp", "<{a}|{}|{}>", "<{}|{b}|{}>"], bz("numerosity"), bz("checker", "cardinal", "parareal")),
+    (["card", "<{a}|{}|{}>"], bz("cardinal"), bz("checker")),
+    (["arith", "1 + b"], bz("cardinal"), bz("checker")),
+    (["lattice", "1", "1", "1"], bz("cardinal"), bz("checker")),
+]
+
+
+@pytest.mark.parametrize("argv, loads, leaves", COMMANDS, ids=[argv[0] for argv, _, _ in COMMANDS])
+def test_each_command_loads_only_the_modules_it_calls(argv, loads, leaves):
+    loaded = loaded_after("import contextlib, io\nfrom bzfc.cli import main\n"
+                          "with contextlib.redirect_stdout(io.StringIO()):\n"
+                          f"    assert main({argv!r}) == 0")
+    assert loads <= loaded
+    assert not loaded & leaves
+
+
 @pytest.mark.parametrize("name", bzfc.__all__)
 def test_every_name_is_its_home_modules_object(name):
     home = importlib.import_module(f"bzfc.{bzfc._HOME[name]}")
