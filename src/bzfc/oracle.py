@@ -7,8 +7,8 @@ the codomain is cut down to the other set's realm plus a pool of fresh
 pebbles.  Any counting can be relabeled into such a codomain without
 changing the equality or inclusion verdicts, so nothing is lost.  A
 pebble is a ``_Pebble``, a class of element that no literal makes, and
-values of different classes are never equal, so no pebble is in either
-realm.
+a pebble equals only itself, so no pebble is in either realm.  It also
+hashes by identity, in C, as a realm element's compiled hash does not.
 
 This module exists to validate the closed forms in ``numerosity`` and
 is deliberately naive: no memoization, no symmetry pruning, just the
@@ -28,9 +28,11 @@ MAX_REALM_SIZE = 4
 
 
 class _Pebble(Element):
-    """A fresh element to count into; it equals no realm element."""
+    """A fresh element to count into; it equals only itself."""
 
     __slots__ = ("index",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
 
 def _pebbles(a: NCSet, b: NCSet) -> list[_Pebble]:

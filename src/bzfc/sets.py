@@ -178,11 +178,11 @@ class ClassicalFn:
         """The image set: membership of an output is the join of the
         membership values of all its preimages, so it is true when some
         preimage's is and false when every preimage's is."""
-        missing = a.realm.difference(self.graph)  # reuses the realm's stored hashes
-        if missing:
-            raise DomainError(sorted(missing, key=str))
-        return NCSet.from_extensions(map(self.graph.__getitem__, a.bang_ext),
-                                     map(self.graph.__getitem__, a.query_ext))
+        lookup = self.graph.__getitem__  # the lookups check the domain themselves
+        try:
+            return NCSet.from_extensions(map(lookup, a.bang_ext), map(lookup, a.query_ext))
+        except KeyError:
+            raise DomainError(sorted(a.realm.difference(self.graph), key=str)) from None
 
 
 # ---------------------------------------------------------------------------

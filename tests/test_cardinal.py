@@ -10,7 +10,8 @@ from test_sets import ncsets
 from bzfc.cardinal import (Aleph, B_UNIT, Cardinal, N_UNIT, ONE, ZERO, card_of, finite_lattice,
                            lattice_dot)
 from bzfc.errors import GuardExceeded
-from bzfc.numerosity import cong_tv, preceq_tv
+from bzfc.numerosity import preceq_tv
+from bzfc.oracle import cong_brute, preceq_brute
 from bzfc.sets import Atom, NCSet
 from bzfc.truth import B, F, N, T
 
@@ -211,8 +212,10 @@ class TestComparison:
 
     @given(ncsets(), ncsets())
     def test_bridge_to_set_comparisons(self, s, t):
-        assert card_of(s).eq_tv(card_of(t)) == cong_tv(s, t)
-        assert card_of(s).le_tv(card_of(t)) == preceq_tv(s, t)
+        # The counting search, not the closed forms the cardinals share:
+        # ``ncsets`` draws from 4 atoms, within the search's realm limit.
+        assert card_of(s).eq_tv(card_of(t)) == cong_brute(s, t)
+        assert card_of(s).le_tv(card_of(t)) == preceq_brute(s, t)
 
 
 SMALL = [Cardinal(*c) for c in itertools.product(

@@ -88,8 +88,8 @@ class TestSubsetGivesPreceq:
             assert preceq_tv(s, t).assertable
 
 
-def signature_set(t: int, b: int, n: int) -> NCSet:
-    atoms = [Atom(f"e{i}") for i in range(t + b + n)]
+def signature_set(t: int, b: int, n: int, prefix: str = "e") -> NCSet:
+    atoms = [Atom(f"{prefix}{i}") for i in range(t + b + n)]
     return NCSet(atoms[t:t + b], atoms[:t], atoms[t + b:])
 
 
