@@ -13,6 +13,11 @@ A session file binds names and declares the quantifier universe:
     let A = <{a}|{b}|{}>
     universe a b c d
 
+The set literal scanner reads each line, ``let NAME = <set literal>``
+(NAME no formula keyword) or ``universe ELEMENT ...``; whitespace only
+separates its tokens, so ``universe(a,1)`` is ``universe (a,1)``, and a
+line that starts with a symbol such as ``<`` is the unknown directive '<'.
+
 Quantifiers range over the declared finite universe (the theory's
 universe of all sets is a proper class and is not on offer here).  If
 no universe is declared, the realms of the bound sets are used.  Atoms
@@ -26,13 +31,12 @@ import argparse
 import re
 import sys
 from functools import cache
-from typing import TYPE_CHECKING, Callable, TypeVar
+from typing import TYPE_CHECKING
 
 from .errors import (BZFCError, GuardError, GuardExceeded, ParseError, UnreadableFile,
                      UnresolvedName, UsageError)
 from .formula import KEYWORDS, parse as parse_formula, render
-from .scan import is_name
-from .sets import Atom, Element, NCSet, parse_elements, parse_ncset
+from .sets import Atom, NCSet, _LiteralParser, parse_ncset
 
 # The commands import `cardinal`, `checker`, `numerosity` and `selfcheck`
 # themselves, so that each one loads only the modules it calls.
@@ -42,7 +46,6 @@ if TYPE_CHECKING:
     from .parareal import ParaReal
 
 MAX_CHECK_CASES = 100_000
-_T = TypeVar("_T")
 
 
 # ---------------------------------------------------------------------------
@@ -64,12 +67,9 @@ def load_session(path: str) -> Session:
     except (OSError, UnicodeDecodeError) as err:
         raise UnreadableFile(f"{path}: {getattr(err, 'strerror', None) or err}") from None
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip()
-        if not line or line.lstrip().startswith("#"):
-            continue
         # Rewrite the message in place: same class, so same exit code.
         try:
-            _session_line(session, line)
+            _SessionParser(raw.rstrip()).directive(session)
         except ParseError as err:
             err.args = (f"{path}:{lineno}:{err.position + 1}: {err.detail()}",)
             raise
@@ -79,66 +79,48 @@ def load_session(path: str) -> Session:
     return session
 
 
-def _session_line(session: Session, line: str) -> None:
-    """Apply one directive.  A ParseError's position is an offset in ``line``."""
-    directive = line.split(None, 1)[0]
-    start = line.index(directive)
-    end = start + len(directive)
-    if directive == "let":
-        head, eq, literal = line[end:].partition("=")
-        name = head.strip()
-        at = end + len(head) - len(head.lstrip())  # where NAME starts
-        if not is_name(name) or name in KEYWORDS:
-            raise ParseError("expected 'let NAME = <set literal>'", at, frozenset({"NAME"}))
-        if not eq:  # then NAME ends the line
-            raise ParseError("expected 'let NAME = <set literal>'", len(line), frozenset({"'='"}))
-        if name in session.bindings:
-            raise ParseError(f"name {name!r} bound twice", at)
-        literal = literal.lstrip()
-        session.bindings[name] = _parse_at(len(line) - len(literal), parse_ncset, literal)
-    elif directive == "universe":
-        if session.universe is not None:
-            raise ParseError("universe declared twice", start)
-        entries = _parse_at(end, parse_elements, line[end:])
-        if not entries:
-            raise ParseError("universe must not be empty", len(line))
-        session.universe = [session.bindings.get(entry.name, entry) if isinstance(entry, Atom)
-                            else entry for entry in entries]
-    else:
-        raise ParseError(f"unknown directive {directive!r}", start,
-                         frozenset({"let", "universe", "#"}))
+class _SessionParser(_LiteralParser):
+    """One session line, read by the literal grammar with ``=`` added."""
 
+    symbols = (*_LiteralParser.symbols, "=")
 
-def _parse_at(start: int, parse: Callable[[str], _T], text: str) -> _T:
-    """``parse(text)``, where ``text`` starts at offset ``start`` of its
-    line; a ParseError's position is made an offset in the line."""
-    try:
-        return parse(text)
-    except ParseError as err:
-        raise ParseError(err.message, start + err.position, err.expected) from None
+    def directive(self, session: Session) -> None:
+        directive = self.word
+        if directive == "let":
+            self.advance()
+            name = self.word
+            if (self.kind != "name" or name in KEYWORDS
+                    or self.kinds[self.i + 1] not in ("=", "end")):
+                raise self.fail({"NAME"}, "expected 'let NAME = <set literal>'")
+            if self.kinds[self.i + 1] == "end":
+                self.advance()
+                raise self.fail({"'='"}, "expected 'let NAME = <set literal>'")
+            if name in session.bindings:
+                raise self.fail((), f"name {name!r} bound twice")
+            self.advance()  # NAME, then '='
+            self.advance()
+            session.bindings[name] = self.end(self.ncset())
+        elif directive == "universe":
+            if session.universe is not None:
+                raise self.fail((), "universe declared twice")
+            self.advance()
+            entries = self.elements()
+            if not entries:
+                raise self.fail((), "universe must not be empty")
+            session.universe = [session.bindings.get(entry.name, entry) if isinstance(entry, Atom)
+                                else entry for entry in entries]
+        elif directive not in ("", "#"):  # not a blank line or a comment
+            raise self.fail({"let", "universe", "#"}, f"unknown directive {directive!r}")
 
 
 def session_model(session: Session) -> Model:
     from .checker import Model
+    realms = [element for bound_set in session.bindings.values() for element in bound_set.realm]
+    universe = sorted(set(realms), key=str) if session.universe is None else session.universe
     env: dict[str, DomainValue] = {}
-
-    def register(value: DomainValue) -> None:
+    for value in (*universe, *realms):
         if isinstance(value, Atom):
             env.setdefault(value.name, value)
-
-    universe: list[DomainValue]
-    if session.universe is not None:
-        universe = list(session.universe)
-    else:
-        realm: set[Element] = set()
-        for bound_set in session.bindings.values():
-            realm |= bound_set.realm
-        universe = sorted(realm, key=str)
-    for value in universe:
-        register(value)
-    for bound_set in session.bindings.values():
-        for element in bound_set.realm:
-            register(element)
     env.update(session.bindings)  # explicit bindings win over atom names
     return Model(universe, env)
 

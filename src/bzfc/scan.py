@@ -40,31 +40,10 @@ MAX_NESTING = 100
 def _lexicon(symbols: tuple[str, ...], keywords: frozenset[str]) -> tuple[re.Pattern[str], dict[str, str]]:
     """The token pattern of a grammar, and the kinds of its fixed tokens."""
     syms = "".join("|" + re.escape(s) for s in sorted(symbols, key=len, reverse=True))
-    # [^\W\d] also admits numeric characters such as "²"; tokenize makes
-    # a word that does not start with a letter or "_" a "char" token.
+    # [^\W\d] also admits numeric characters such as "²"; Cursor makes a
+    # word that does not start with a letter or "_" a "char" token.
     pattern = re.compile(rf"\s*([^\W\d]\w*|{NATURAL.pattern}{syms}|\S)")
     return pattern, {word: word for word in (*symbols, *keywords)}
-
-
-def tokenize(text: str, symbols: tuple[str, ...],
-             keywords: frozenset[str]) -> tuple[list[str], list[str]]:
-    """The texts of the tokens of ``text`` and their kinds, both ending
-    with an "end" token.  A kind is the token's own text for a symbol or
-    keyword, else "name", "nat", or "char" for a character that starts
-    no token (which no grammar accepts)."""
-    pattern, fixed = _lexicon(symbols, keywords)
-    words = pattern.findall(text)
-    kinds = [fixed.get(w) or ("nat" if w[0] in "0123456789" else
-                              "name" if w[0].isalpha() or w[0] == "_" else "char")
-             for w in words]
-    words.append("")
-    kinds.append("end")
-    return words, kinds
-
-
-def is_name(text: str) -> bool:
-    """Whether ``text`` is exactly one name."""
-    return tokenize(text, (), frozenset())[1] == ["name", "end"]
 
 
 def natural(digits: str) -> int:
@@ -80,8 +59,12 @@ class Cursor:
     """A position in the tokens of one text, for recursive descent.
 
     A grammar subclasses it and sets its own ``symbols`` and ``keywords``.
-    ``kind`` and ``word`` are the kind and text of the current token;
-    ``advance`` and ``expect`` consume it and return its text."""
+    ``words`` and ``kinds`` are the texts and kinds of the tokens, both
+    ending with an "end" token.  A kind is the token's own text for a
+    symbol or keyword, else "name", "nat", or "char" for a character that
+    starts no token (which no grammar accepts).  ``kind`` and ``word`` are
+    those of the current token; ``advance`` and ``expect`` consume it and
+    return its text."""
 
     symbols: tuple[str, ...] = ()
     keywords: frozenset[str] = frozenset()
@@ -89,8 +72,14 @@ class Cursor:
     depth = 0
 
     def __init__(self, text: str):
+        pattern, fixed = _lexicon(self.symbols, self.keywords)
         self.text = text
-        self.words, self.kinds = tokenize(text, self.symbols, self.keywords)
+        self.words = words = pattern.findall(text)
+        self.kinds = kinds = [fixed.get(w) or ("nat" if w[0] in "0123456789" else
+                                               "name" if w[0].isalpha() or w[0] == "_" else "char")
+                              for w in words]
+        words.append("")
+        kinds.append("end")
         self.i = 0
         self.kind = self.kinds[0]
 

@@ -236,6 +236,13 @@ class _LiteralParser(Cursor):
             if kind == "}":
                 return frozenset(items)
 
+    def elements(self) -> list[Element]:
+        """Element literals up to the end of the text."""
+        elements = []
+        while self.kind != "end":
+            elements.append(self.element())
+        return elements
+
     def ncset(self) -> NCSet:
         self.expect("<")
         first = self.brace_set()
@@ -252,11 +259,7 @@ class _LiteralParser(Cursor):
 
 def parse_elements(text: str) -> list[Element]:
     """Parse a sequence of element literals, such as ``a (b, 1) 2@0``."""
-    parser = _LiteralParser(text)
-    elements = []
-    while parser.kind != "end":
-        elements.append(parser.element())
-    return elements
+    return _LiteralParser(text).elements()
 
 
 def parse_ncset(text: str) -> NCSet:

@@ -14,7 +14,8 @@ from functools import cache
 @cache
 def _methods(fields: tuple[str, ...]) -> dict:
     """``__init__`` (``_assign``, so named for arity errors), ``__eq__`` and
-    ``__hash__``, compiled as ``namedtuple`` builds ``__new__``.  One field is
+    ``__hash__``, compiled as ``namedtuple`` builds ``__new__``, each tuple of
+    fields under its own file name, which profiles key on.  One field is
     compared and hashed as itself, several as a tuple, none as the class."""
     def key(obj: str) -> str:
         names = [f"{obj}.{name}" for name in fields] or [f"{obj}.__class__"]
@@ -22,10 +23,11 @@ def _methods(fields: tuple[str, ...]) -> dict:
 
     sets = "".join(f"\n    _set(self, {name!r}, {name})" for name in fields)
     namespace = {"_set": object.__setattr__}
-    exec(f"def __init__(self, {', '.join(fields)}):{sets or ' pass'}\n"
-         f"def __eq__(self, other): return {key('self')} == {key('other')} "
-         "if other.__class__ is self.__class__ else NotImplemented\n"
-         f"def __hash__(self): return hash({key('self')})", namespace)
+    source = (f"def __init__(self, {', '.join(fields)}):{sets or ' pass'}\n"
+              f"def __eq__(self, other): return {key('self')} == {key('other')} "
+              "if other.__class__ is self.__class__ else NotImplemented\n"
+              f"def __hash__(self): return hash({key('self')})")
+    exec(compile(source, f"<bzfc.value {fields}>", "exec"), namespace)
     return namespace
 
 

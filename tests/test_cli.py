@@ -398,6 +398,17 @@ class TestSessions:
         assert session.universe == [Pair(Atom("a"), Nat(1)), session.bindings["A"],
                                     Tag(Atom("b"), 2), Pair(Atom("c"), Pair(Atom("d"), Atom("A")))]
 
+    @pytest.mark.parametrize("text, bindings, universe", [
+        ("let A=<{a}|{}|{}>\n", {"A": parse_ncset("<{a}|{}|{}>")}, None),
+        # Whitespace only separates tokens, so no space is needed after the directive.
+        ("universe(a,1)\n", {}, [Pair(Atom("a"), Nat(1))]),
+    ], ids=["let", "universe"])
+    def test_directives_need_no_spaces(self, tmp_path, text, bindings, universe):
+        path = tmp_path / "s.session"
+        path.write_text(text)
+        session = load_session(str(path))
+        assert (session.bindings, session.universe) == (bindings, universe)
+
     def test_byte_order_mark_is_skipped(self, capsys, tmp_path):
         # Editors on some systems save UTF-8 with a leading BOM.
         path = tmp_path / "s.session"
@@ -464,6 +475,13 @@ class TestSessions:
         ("let = <{}|{}|{}>\n", "1:5", "expected 'let NAME = <set literal>' (expected NAME)"),
         ("let  A\n", "1:7", "expected 'let NAME = <set literal>' (expected '=')"),
         ("  bind A = <{}|{}|{}>\n", "1:3", "unknown directive 'bind' (expected #, let, universe)"),
+        ("let A B = <{a}|{}|{}>\n", "1:5", "expected 'let NAME = <set literal>' (expected NAME)"),
+        ("let\n", "1:4", "expected 'let NAME = <set literal>' (expected NAME)"),
+        ("let A == <{a}|{}|{}>\n", "1:8", "unexpected '=' (expected '<')"),
+        ("let A = <{a}|{}|{}> junk\n", "1:21", "unexpected 'junk' (expected end of input)"),
+        ("universe a,b\n", "1:11", "expected an element (expected '(', identifier, natural)"),
+        # The first token names the directive, as whitespace only separates tokens.
+        ("<{a}|{}|{}>\n", "1:1", "unknown directive '<' (expected #, let, universe)"),
     ])
     def test_parse_errors_name_their_column(self, capsys, tmp_path, text, where, message):
         path = tmp_path / "s.session"

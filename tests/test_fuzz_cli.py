@@ -33,7 +33,8 @@ universe a b c A
 """
 
 
-def assert_contract(argv: list[str]) -> None:
+def assert_contract(argv: list[str], error: str = "error: ") -> None:
+    """Exit 0, 2, 3 or 4; on error, exactly one line, starting with ``error``."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -46,7 +47,7 @@ def assert_contract(argv: list[str]) -> None:
     if code == 0:
         assert lines == [], (argv, lines)
     else:
-        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, code, lines)
+        assert len(lines) == 1 and lines[0].startswith(error), (argv, code, lines)
 
 
 def soup(tokens) -> st.SearchStrategy[str]:
@@ -169,6 +170,22 @@ def test_session_files(tmp_path, lines, text):
     path = tmp_path / "fuzz.session"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert_contract(["eval", text, "--session", str(path)])
+
+
+SESSION_TOKENS = ("let", "universe", "=", "A", "B", "a", "1", "o", "in", "forall",
+                  "<{a}|{}|{}>", "<{a,(a,1)}|{b@2}>", "(a, 1)", "b@2", "#", "<", "{", "|", "@2",
+                  "junk", "\u00b2", "\t")
+
+
+@FUZZ
+@given(lines=st.lists(soup(SESSION_TOKENS), max_size=4), glue=st.sampled_from([" ", ""]))
+def test_session_token_soup(tmp_path, lines, glue):
+    # Lines of directive tokens in any order, spaced or glued together: an
+    # error names the file, whichever token it is at.
+    path = tmp_path / "soup.session"
+    path.write_text("\n".join(line.replace(" ", glue) for line in lines) + "\n",
+                    encoding="utf-8")
+    assert_contract(["eval", "false", "--session", str(path)], error=f"error: {path}:")
 
 
 @FUZZ

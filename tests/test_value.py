@@ -1,10 +1,12 @@
 """The immutable value classes: equality, hashing, immutability, copying."""
 
 import copy
+import cProfile
 import importlib
 import inspect
 import pickle
 import pkgutil
+import pstats
 import subprocess
 import sys
 
@@ -133,6 +135,16 @@ def test_generated_comparisons():
     # One exec per tuple of fields defines all three.
     assert Pair.__eq__.__globals__ is Pair.__hash__.__globals__ is Pair._assign.__globals__
     assert TruthValue.__eq__ is object.__eq__ and TruthValue.__hash__ is object.__hash__
+
+
+def test_profiles_key_each_tuple_of_fields_apart():
+    # cProfile files a function under (file, line, name), so the one-field
+    # classes' hashes would share one key if they shared a file name.
+    atom, nat = Atom("a"), Nat(1)
+    profile = cProfile.Profile()
+    profile.runcall(lambda: (hash(atom), hash(nat)))
+    hashes = [key for key in pstats.Stats(profile).stats if key[2] == "__hash__"]
+    assert len(hashes) == 2
 
 
 @pytest.mark.parametrize("make, field", [(lambda: Atom(), "name"), (lambda: Pair(Atom("a")), "right")])
