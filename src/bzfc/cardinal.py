@@ -8,7 +8,8 @@ except that a zero factor kills a product), which ``Aleph`` carries.
 A ``Cardinal`` is a triple (kt, kb, kn) of classical cardinals, read as
 kt + kb*b + kn*n where b and n are the sizes of the one-element purely
 inconsistent and purely incomplete sets.  Addition is componentwise;
-multiplication is ``parareal.product``'s rule b*b = b, n*n = n, b*n = 0.
+multiplication is ``parareal.product``'s rule b*b = b, n*n = n, b*n = 0,
+and ``parareal.Linear`` holds the literal syntax of cardinals and para-reals.
 Comparison is four-valued, through ``numerosity``'s closed forms on the
 coefficients, and at the first infinite cardinal stops being
 antisymmetric.
@@ -22,10 +23,9 @@ from __future__ import annotations
 
 from functools import cache
 
-from . import parareal
 from .errors import GuardExceeded
 from .numerosity import at_most, part_sizes, same_size
-from .parareal import ParaReal, product
+from .parareal import Linear, ParaReal, product
 from .scan import NATURAL, Cursor, natural
 from .sets import NCSet
 from .truth import TruthValue
@@ -68,7 +68,7 @@ class Aleph(Value):
 ClassicalCard = int | Aleph
 
 
-class Cardinal(Value):
+class Cardinal(Linear):
     __slots__ = ("kt", "kb", "kn")
 
     def __init__(self, kt: ClassicalCard = 0, kb: ClassicalCard = 0, kn: ClassicalCard = 0):
@@ -91,21 +91,6 @@ class Cardinal(Value):
 
     def eq_tv(self, other: "Cardinal") -> TruthValue:
         return same_size(self.decompose(), other.decompose())
-
-    def __str__(self) -> str:
-        parts = []
-        if self.kt != 0:
-            parts.append(str(self.kt))
-        for coeff, unit in ((self.kb, "b"), (self.kn, "n")):
-            if coeff == 0:
-                continue
-            if coeff == 1:
-                parts.append(unit)
-            elif isinstance(coeff, int):
-                parts.append(f"{coeff}{unit}")
-            else:
-                parts.append(f"{coeff} {unit}")
-        return " + ".join(parts) if parts else "0"
 
 
 ZERO = Cardinal(0, 0, 0)
@@ -137,10 +122,10 @@ class _ArithParser(Cursor):
 
     def __init__(self, text: str, real: bool):
         super().__init__(text)
-        self.real = real
+        self.number = ParaReal if real else Cardinal
 
     def _real_only(self) -> None:
-        if not self.real:
+        if self.number is Cardinal:
             lacks = "division" if self.kind == "/" else "subtraction"
             raise self.fail((), f"{self.word!r} needs --real (cardinals have no {lacks})")
 
@@ -181,26 +166,22 @@ class _ArithParser(Cursor):
             self.expect(")")
             return value
         if kind == "nat":
-            n = self.nat()
-            return ParaReal(n) if self.real else Cardinal(n)
+            return self.number(self.nat())
         if kind in _UNITS:
             return self._unit()
         word = self.word
         if kind == "name" and word.startswith("aleph") and NATURAL.fullmatch(word, 5):
-            if self.real:
+            if self.number is ParaReal:
                 raise self.fail((), "alephs are cardinals, not para-reals")
             index = natural(word[5:])
             if index > MAX_ALEPH_INDEX:
-                raise GuardExceeded(f"aleph index above {MAX_ALEPH_INDEX} at position {self.pos}")
+                raise GuardExceeded(f"aleph index above {MAX_ALEPH_INDEX}", self.pos)
             self.advance()
             return Cardinal(Aleph(index))
         raise self.fail({"number", "'b'", "'n'", "'('"})
 
     def _unit(self):
-        b = self.advance() == "b"
-        if self.real:
-            return parareal.B_UNIT if b else parareal.N_UNIT
-        return B_UNIT if b else N_UNIT
+        return self.number(0, 1, 0) if self.advance() == "b" else self.number(0, 0, 1)
 
 
 def eval_arith(text: str, real: bool = False) -> Cardinal | ParaReal:

@@ -33,8 +33,8 @@ import sys
 from functools import cache
 from typing import TYPE_CHECKING
 
-from .errors import (BZFCError, GuardError, GuardExceeded, ParseError, UnreadableFile,
-                     UnresolvedName, UsageError)
+from .errors import (BZFCError, GuardError, GuardExceeded, UnreadableFile, UnresolvedName,
+                     UsageError)
 from .formula import KEYWORDS, parse as parse_formula, render
 from .sets import Atom, NCSet, _LiteralParser, parse_ncset
 
@@ -70,11 +70,10 @@ def load_session(path: str) -> Session:
         # Rewrite the message in place: same class, so same exit code.
         try:
             _SessionParser(raw.rstrip()).directive(session)
-        except ParseError as err:
-            err.args = (f"{path}:{lineno}:{err.position + 1}: {err.detail()}",)
-            raise
         except BZFCError as err:
-            err.args = (f"{path}:{lineno}: {err}",)
+            where = getattr(err, "position", None)
+            err.args = (f"{path}:{lineno}: {err}" if where is None else
+                        f"{path}:{lineno}:{where + 1}: {err.detail()}",)
             raise
     return session
 

@@ -10,24 +10,26 @@ class BZFCError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ParseError(BZFCError):
-    """Raised on malformed input text.
+class Located(BZFCError):
+    """An error that may name the offset in a text where it was found,
+    and the token descriptions that would have been accepted there."""
 
-    Carries the offset of the offending token and the set of token
-    descriptions that would have been accepted there.
-    """
-
-    def __init__(self, message: str, position: int, expected: frozenset[str] = frozenset()):
+    def __init__(self, message: str, position: int | None = None,
+                 expected: frozenset[str] = frozenset()):
         self.message = message
         self.position = position
         self.expected = expected
-        super().__init__(self.detail(f" at position {position}"))
+        super().__init__(self.detail("" if position is None else f" at position {position}"))
 
     def detail(self, where: str = "") -> str:
         """The message, then ``where``, then the tokens that were expected."""
         if not self.expected:
             return self.message + where
         return f"{self.message}{where} (expected {', '.join(sorted(self.expected))})"
+
+
+class ParseError(Located):
+    """Raised on malformed input text, at the offset of the offending token."""
 
 
 class UsageError(BZFCError):
@@ -76,6 +78,7 @@ class DomainError(BZFCError):
         super().__init__(f"function does not cover realm elements: {listed}")
 
 
-class GuardExceeded(GuardError):
+class GuardExceeded(Located, GuardError):
     """An input passed one of the size or work limits, such as the
-    oracle's realm size or the work budget of a formula."""
+    oracle's realm size or the work budget of a formula.  A limit met at
+    a place in a text, such as the nesting guard, names its offset."""

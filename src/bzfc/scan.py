@@ -110,8 +110,7 @@ class Cursor:
     def enter(self) -> None:
         """Go one level of nesting deeper; past MAX_NESTING, a guard violation."""
         if self.depth == MAX_NESTING:
-            raise GuardExceeded(f"{self.what} nested more than {MAX_NESTING} deep "
-                                f"at position {self.pos}")
+            raise GuardExceeded(f"{self.what} nested more than {MAX_NESTING} deep", self.pos)
         self.depth += 1
 
     def nested(self, parse: Callable[[], _T]) -> _T:

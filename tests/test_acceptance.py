@@ -185,10 +185,11 @@ def test_criterion_7_cardinal_bridge():
     for _ in range(1000):
         s = random_ncset(rng, 4)
         t = random_ncset(rng, 4)
-        assert card_of(s).eq_tv(card_of(t)) == cong_tv(s, t), f"{s} vs {t}"
-        assert card_of(s).le_tv(card_of(t)) == preceq_tv(s, t), f"{s} vs {t}"
+        # The counting oracle, not the closed forms that le_tv/eq_tv share.
+        assert card_of(s).eq_tv(card_of(t)) == cong_brute(s, t), f"{s} vs {t}"
+        assert card_of(s).le_tv(card_of(t)) == preceq_brute(s, t), f"{s} vs {t}"
         pairs += 1
-    report(7, f"cardinal =/<= equal set-level comparisons on {pairs} pairs")
+    report(7, f"cardinal =/<= equal the counting oracle's comparisons on {pairs} pairs")
 
 
 # -- 8 ----------------------------------------------------------------------

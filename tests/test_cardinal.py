@@ -361,3 +361,5 @@ class TestRendering:
         assert str(Cardinal(3, 2, 1)) == "3 + 2b + n"
         assert str(ALEPH0_PLUS_B) == "aleph0 + b"
         assert str(Cardinal(0, Aleph(1), 0)) == "aleph1 b"
+        assert str(Cardinal(0, 2, 0)) == "2b"
+        assert str(Cardinal(Aleph(0), Aleph(1), 3)) == "aleph0 + aleph1 b + 3n"

@@ -456,9 +456,12 @@ class TestSessions:
          f"a natural of 5000 digits; at most {sys.get_int_max_str_digits()}"),
         ("# two\nlet A = <{a}|{a}|{}>\n", 2, "2", "element a appears in more than one part"),
         ("let A = <{a}|{b}\n", 2, "1:17", "unexpected 'end of input' (expected '>')"),
-    ], ids=["guard", "disjointness", "parse"])
+        ("let A = <{" + "(" * 101 + "a" + ",a)" * 101 + "}|{}|{}>\n", 4, "1:112",
+         "literal nested more than 100 deep"),
+    ], ids=["guard", "disjointness", "parse", "nesting-guard"])
     def test_errors_name_their_line(self, capsys, tmp_path, text, code, where, message):
-        # A parse error also names its 1-based column in the line.
+        # A parse error, and a guard met at a place in the line, also name
+        # their 1-based column in the line.
         path = tmp_path / "s.session"
         path.write_text(text, encoding="utf-8")
         got, out, err = run(capsys, "eval", "false", "--session", str(path))

@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 
 from bzfc.cardinal import Cardinal
 from bzfc.errors import GuardError
-from bzfc.parareal import B_UNIT, N_UNIT, ONE, ParaReal, ZERO
+from bzfc.parareal import ONE, ParaReal, ZERO
 
 rationals = st.fractions(max_denominator=12,
                          min_value=Fraction(-10), max_value=Fraction(10))
 parareals = st.builds(ParaReal, rationals, rationals, rationals)
 invertibles = parareals.filter(
     lambda x: x.xt != 0 and x.xt + x.xb != 0 and x.xt + x.xn != 0)
+B_UNIT = ParaReal(0, 1, 0)
+N_UNIT = ParaReal(0, 0, 1)
 
 
 class TestConstruction:
@@ -25,8 +27,6 @@ class TestConstruction:
     def test_constants(self):
         assert ZERO == ParaReal(0, 0, 0)
         assert ONE == ParaReal(1, 0, 0)
-        assert B_UNIT == ParaReal(0, 1, 0)
-        assert N_UNIT == ParaReal(0, 0, 1)
 
 
 class TestRingLaws:
@@ -113,3 +113,8 @@ class TestRendering:
         assert str(-B_UNIT) == "-b"
         assert str(ParaReal(0, -1, 1)) == "-b + n"
         assert str(ParaReal(-1, 0, Fraction(5, 7))) == "-1 + 5/7 n"
+        # A coefficient is a Fraction, even an integral one, so it stands
+        # apart from its unit, where a cardinal's int does not (2b).
+        assert str(ParaReal(0, 2, 0)) == "2 b"
+        assert str(ParaReal(-2)) == "-2"
+        assert str(ParaReal(0, 0, -1)) == "-n"

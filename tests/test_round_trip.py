@@ -10,6 +10,7 @@ inputs.
 
 import contextlib
 import io
+import itertools
 import re
 from fractions import Fraction
 
@@ -116,6 +117,17 @@ def test_printed_para_reals_reparse(left, op, right):
     assert eval_arith(out, real=True) == {"+": left + right, "-": left - right,
                                           "*": left * right}[op]
     assert printed(["arith", "--real", *argument(out)]) == out
+
+
+def test_every_small_literal_reparses():
+    # Exhaustive where the tests above sample: every cardinal over these
+    # coefficients, and every para-real over signed, integral and
+    # non-integral rationals.
+    for coeffs in itertools.product([0, 1, 2, Aleph(0), Aleph(1)], repeat=3):
+        assert eval_arith(str(Cardinal(*coeffs))) == Cardinal(*coeffs)
+    grid = sorted({Fraction(p, q) for p in (0, 1, -1, 2, -2, 7) for q in (1, 3)})
+    for coeffs in itertools.product(grid, repeat=3):
+        assert eval_arith(str(ParaReal(*coeffs)), real=True) == ParaReal(*coeffs)
 
 
 @settings(ROUND_TRIP, max_examples=30)
