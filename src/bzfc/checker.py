@@ -154,7 +154,7 @@ def _atom(relate: Callable[[DomainValue, DomainValue], int],
     """``relate`` on the values of the atom's terms: computed here when
     both are constants, tabulated over the universe when they read one
     bound variable, and computed per instance when they read two."""
-    terms = f.left.name, f.right.name
+    terms = f.left, f.right
     left, right = slots = [_slot(scope, name) for name in terms]
     for name, slot in zip(terms, slots):
         if slot is None and name not in model.env:
@@ -181,7 +181,7 @@ def _weight(f: fm.Membership | fm.Equality, model: Model | None, scope: Sequence
     """One, or for an atom over two distinct bound variables, which relates two
     universe entries on each run, the printed length of the longest entry.  That
     is rendered once a call, when first needed, and kept as ``spent[1]``."""
-    left, right = f.left.name, f.right.name
+    left, right = f.left, f.right
     if model is None or left == right or left not in scope or right not in scope:
         return 1
     if len(spent) == 1:

@@ -125,7 +125,7 @@ def session_model(session: Session) -> Model:
 
 
 def _load(args: argparse.Namespace) -> Session:
-    if getattr(args, "session", None):
+    if args.session:
         return load_session(args.session)
     return Session()
 

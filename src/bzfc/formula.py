@@ -17,7 +17,7 @@ there.  ``notin`` and ``!=`` parse as the negated atoms.  Restricted
 binders are abbreviations, which the parser writes out (``desugar``):
 ``exists x in A . p`` is ``exists x . x in A & p`` and
 ``forall x in A . p`` is ``forall x . x in A -> p``.  A name in term
-position is a ``Term``, whatever its case: a quantifier or the session
+position is a ``str``, whatever its case: a quantifier or the session
 may bind it.  A bare name in formula position is a propositional letter.
 """
 
@@ -28,17 +28,6 @@ from functools import partial
 from .errors import GuardExceeded
 from .scan import MAX_NESTING, Cursor
 from .value import Value
-
-
-# ---------------------------------------------------------------------------
-# Terms
-
-
-class Term(Value):
-    __slots__ = ("name",)
-
-    def __str__(self) -> str:
-        return self.name
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +147,10 @@ CONNECTIVES = {node.symbol: node for node in (Neg, CNeg, Bang, Query, Circ, Conj
 KEYWORDS = frozenset({"in", "notin", "false", *filter(str.isalpha, CONNECTIVES)})
 
 
-def desugar(kind: type, var: str, bound: Term, body: Formula) -> Formula:
+def desugar(kind: type, var: str, bound: str, body: Formula) -> Formula:
     """The restricted binder ``kind var in bound . body`` written out:
     ``kind`` is Forall (over ->) or Exists (over &)."""
-    member = Membership(Term(var), bound)
+    member = Membership(var, bound)
     return Forall(var, Imp(member, body)) if kind is Forall else Exists(var, Amp(member, body))
 
 
@@ -215,10 +204,10 @@ class _Parser(Cursor):
         if issubclass(node, Unary):
             return node(self.nested(self.unary))
         var = self.expect("name", "variable name")
-        bound: Term | None = None
+        bound: str | None = None
         if self.kind == "in":
             self.advance()
-            bound = Term(self.expect("name", "set name"))
+            bound = self.expect("name", "set name")
         self.expect(".")
         body = self.nested(self.formula)
         return node(var, body) if bound is None else desugar(node, var, bound, body)
@@ -234,14 +223,14 @@ class _Parser(Cursor):
             self.expect(")")
             return inner
         if kind == "name":
-            left = Term(self.advance())
+            left = self.advance()
             rel = self.kind
             if rel in ("in", "notin", "=", "!="):
                 self.advance()
-                right = Term(self.expect("name", "term"))
+                right = self.expect("name", "term")
                 atom = Membership(left, right) if rel in ("in", "notin") else Equality(left, right)
                 return Neg(atom) if rel in ("notin", "!=") else atom
-            return Prop(left.name)
+            return Prop(left)
         raise self.fail({"formula"})
 
 

@@ -171,9 +171,6 @@ class ClassicalFn:
     def __init__(self, graph: Mapping[Element, Element] | Iterable[tuple[Element, Element]]):
         self.graph = dict(graph)
 
-    def is_injection(self) -> bool:
-        return len(set(self.graph.values())) == len(self.graph)
-
     def image(self, a: NCSet) -> NCSet:
         """The image set: membership of an output is the join of the
         membership values of all its preimages, so it is true when some
@@ -255,11 +252,6 @@ class _LiteralParser(Cursor):
             return NCSet(first, second, third)
         self.expect(">")
         return NCSet.from_extensions(first, second)
-
-
-def parse_elements(text: str) -> list[Element]:
-    """Parse a sequence of element literals, such as ``a (b, 1) 2@0``."""
-    return _LiteralParser(text).elements()
 
 
 def parse_ncset(text: str) -> NCSet:

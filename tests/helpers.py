@@ -36,8 +36,8 @@ def random_formula(rng: random.Random, depth: int = 4,
     round-trip tests."""
     names = list(var_names) + list(const_names)
 
-    def term() -> fm.Term:
-        return fm.Term(rng.choice(names))
+    def term() -> str:
+        return rng.choice(names)
 
     def go(d: int) -> fm.Formula:
         if d == 0:
@@ -62,7 +62,7 @@ def random_formula(rng: random.Random, depth: int = 4,
             return fm.Forall(var, go(d - 1))
         if binder == 1:
             return fm.Exists(var, go(d - 1))
-        bound = fm.Term(rng.choice(const_names))
+        bound = rng.choice(const_names)
         return fm.desugar(fm.Forall if binder == 2 else fm.Exists, var, bound, go(d - 1))
 
     return go(depth)
@@ -75,8 +75,8 @@ def random_closed_formula(rng: random.Random, model_names: list[str],
     def go(d: int, scope: tuple[str, ...]) -> fm.Formula:
         usable = list(model_names) + list(scope)
 
-        def term() -> fm.Term:
-            return fm.Term(rng.choice(usable))
+        def term() -> str:
+            return rng.choice(usable)
 
         if d == 0 or rng.random() < 0.25:
             if rng.randrange(5) == 0:
@@ -145,10 +145,10 @@ def expand_defined(f: fm.Formula) -> fm.Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _resolve(term: fm.Term, model: Model, bound: dict):
-    if term.name in bound:
-        return bound[term.name]
-    return model.env[term.name]
+def _resolve(name: str, model: Model, bound: dict):
+    if name in bound:
+        return bound[name]
+    return model.env[name]
 
 
 def sat_pos(f: fm.Formula, model: Model, bound: dict | None = None) -> bool:

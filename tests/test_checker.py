@@ -130,10 +130,10 @@ class TestEngine:
         m = model_with({"A": NCSet({a}, {b}, set())})
         for kind, plain in [(fm.Forall, "forall x . x in A -> x = a"),
                             (fm.Exists, "exists x . x in A & x = a")]:
-            built = fm.desugar(kind, "x", fm.Term("A"), fm.Equality(fm.Term("x"), fm.Term("a")))
+            built = fm.desugar(kind, "x", "A", fm.Equality("x", "a"))
             assert evaluate(built, m) == evaluate(parse(plain), m)
         with pytest.raises(NotPropositional, match="found Forall$"):
-            eval_prop(fm.desugar(fm.Forall, "x", fm.Term("A"), fm.Prop("p")), {"p": T})
+            eval_prop(fm.desugar(fm.Forall, "x", "A", fm.Prop("p")), {"p": T})
 
     def test_one_variable_atoms_are_tabulated(self, monkeypatch):
         # An atom over one bound variable takes one member_tv call per
@@ -319,11 +319,11 @@ class TestLazyConnectives:
         # value; the right, x = y, is computed per instance, so each call
         # of _equal is one run of the right operand.
         calls = self.count_equal(monkeypatch)
-        right = fm.Equality(fm.Term("x"), fm.Term("y"))
+        right = fm.Equality("x", "y")
         for code, (value, row) in enumerate(zip(ALL_VALUES, checker._BINARY[kind])):
             part = _PARTS[value]
             m = Model([_C], {"c": _C, "P": NCSet(**({part: {_C}} if part else {}))})
-            f = Forall("x", Forall("y", kind(fm.Membership(fm.Term("c"), fm.Term("P")), right)))
+            f = Forall("x", Forall("y", kind(fm.Membership("c", "P"), right)))
             calls.clear()
             assert evaluate(f, m) == truth_value_by_satisfaction(f, m), value
             assert len(calls) == (len(set(row)) > 1), (value, row)
@@ -485,7 +485,7 @@ BINARY = (fm.Conj, fm.Amp, fm.Disj, fm.Imp, fm.StrongImp, fm.Iff, fm.StrongIff)
 
 def encoded(f: fm.Formula) -> fm.Formula:
     if isinstance(f, fm.Prop):
-        return fm.Membership(fm.Term("c"), fm.Term(f.name.upper()))
+        return fm.Membership("c", f.name.upper())
     if isinstance(f, fm.Unary):
         return type(f)(encoded(f.body))
     if isinstance(f, fm.Binary):

@@ -11,11 +11,11 @@ from bzfc.cli import main
 from bzfc.errors import ParseError
 from bzfc.formula import (Amp, Bang, Bottom, CNeg, Circ, Conj, Disj, Equality,
                           Exists, Forall, Iff, Imp, Membership, Neg, Prop, Query,
-                          StrongIff, StrongImp, Term, desugar, parse, render)
+                          StrongIff, StrongImp, desugar, parse, render)
 from bzfc.sets import Atom, NCSet
 
-x, y = Term("x"), Term("y")
-A = Term("A")
+x, y = "x", "y"
+A = "A"
 
 
 class TestParsing:
@@ -39,7 +39,7 @@ class TestParsing:
         assert parse("p & q") == Amp(Prop("p"), Prop("q"))
 
     def test_case_of_a_name_has_no_effect(self, tmp_path, capsys):
-        assert parse("X in a") == Membership(Term("X"), Term("a"))
+        assert parse("X in a") == Membership("X", "a")
         c = Atom("c")
         model = Model([Atom("a"), c], {"A": NCSet(set(), {c}, set())})
         assert evaluate(parse("forall X . X in A"), model) == evaluate(
@@ -119,6 +119,8 @@ class TestDesugaring:
         got = desugar(Exists, "x", A, Equality(x, y))
         assert got == Exists("x", Amp(Membership(x, A), Equality(x, y)))
         assert desugar(Forall, "x", A, Bottom()) == Forall("x", Imp(Membership(x, A), Bottom()))
+        got = desugar(Forall, "x", "A", Prop("p"))  # the bound is the set's name
+        assert got == Forall("x", Imp(Membership("x", "A"), Prop("p")))
 
 
 class TestRendering:
@@ -144,4 +146,14 @@ class TestRendering:
             rng = random.Random(seed)
             for _ in range(count):
                 f = random_formula(rng)
-                assert parse(render(f)) == f
+                parsed = parse(render(f))
+                assert parsed == f
+                stack = [parsed]
+                while stack:  # every name in an atom is a str
+                    g = stack.pop()
+                    if isinstance(g, (Membership, Equality)):
+                        assert type(g.left) is str and type(g.right) is str, g
+                    elif isinstance(g, fm.Binary):
+                        stack += g.left, g.right
+                    elif isinstance(g, (fm.Unary, fm.Quantifier)):
+                        stack.append(g.body)

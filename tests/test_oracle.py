@@ -68,7 +68,7 @@ class TestEnumeration:
     def test_every_counting_is_injective_on_the_realm(self):
         s = NCSet({a}, {b}, {c})
         for counting in enumerate_countings(s, [c, d, Atom("e"), Atom("g")]):
-            assert counting.is_injection()
+            assert len(set(counting.graph.values())) == len(counting.graph)
             assert counting.graph.keys() == s.realm
 
     def test_pool_too_small(self):

@@ -7,6 +7,7 @@ since the test process has imported every module already.
 import ast
 import importlib
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -137,3 +138,22 @@ def test_every_imported_name_is_used(path):
     imported = {(alias.asname or alias.name).split(".")[0]
                 for node in imports for alias in node.names}
     assert sorted(imported - used_names(tree)) == []
+
+
+def test_every_definition_is_named_elsewhere():
+    # A function or class that nothing names but its definition is API only
+    # the tests call; README's names count as documented API.
+    package = pathlib.Path(bzfc.__file__).parent
+    root = package.parents[1]
+    sources = sorted(package.glob("*.py"))
+    text = "\n".join(path.read_text(encoding="utf-8") for path in
+                     [*sources, *sorted((root / "perfbench").glob("*.py")), root / "README.md"])
+    defined: dict[str, int] = {}
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))):
+                defined[node.name] = defined.get(node.name, 0) + 1
+    unnamed = [name for name, count in defined.items()
+               if len(re.findall(rf"\b{name}\b", text)) <= count]
+    assert sorted(unnamed) == []

@@ -50,4 +50,4 @@ def test_library_use(capsys):
                 for line in block.splitlines() if line.startswith("print(")]
     exec(block, {})
     assert capsys.readouterr().out.splitlines() == expected
-    assert len(expected) == 7
+    assert len(expected) == 8

@@ -46,7 +46,7 @@ def argument(text: str) -> list[str]:
 
 NAMES = ("x", "y", "c", "A", "B")
 VAR = st.sampled_from(("x", "y", "z"))
-TERM = st.sampled_from(NAMES).map(fm.Term)
+TERM = st.sampled_from(NAMES)
 UNARY = [node for node in fm.CONNECTIVES.values() if issubclass(node, fm.Unary)]
 BINARY = [node for node in fm.CONNECTIVES.values() if issubclass(node, fm.Binary)]
 BINDER = st.sampled_from((fm.Forall, fm.Exists))

@@ -16,7 +16,7 @@ import bzfc
 from bzfc.cardinal import Aleph, Cardinal
 from bzfc.checker import Model
 from bzfc.errors import DisjointnessViolation
-from bzfc.formula import Bottom, CNeg, Neg, Prop, Term, parse
+from bzfc.formula import Bottom, CNeg, Neg, Prop, parse
 from bzfc.parareal import ParaReal
 from bzfc.sets import Atom, ClassicalFn, Nat, NCSet, Pair, Tag, parse_ncset
 from bzfc.truth import B, T, TruthValue
@@ -103,7 +103,7 @@ def test_derived_constructors_take_the_fields_in_order():
                    if cls.__module__.startswith("bzfc.") and cls.__dict__.get("__slots__")}
     derived = {cls for cls in with_fields if cls.__init__ is cls._assign}
     assert {cls.__name__ for cls in derived} == {
-        "Term", "Prop", "Unary", "Binary", "Membership", "Equality", "Quantifier",
+        "Prop", "Unary", "Binary", "Membership", "Equality", "Quantifier",
         "Atom", "Nat", "Pair", "Tag", "_Pebble"}
     assert {cls.__name__ for cls in with_fields - derived} == {
         "Aleph", "Cardinal", "NCSet", "ParaReal", "Model", "TruthValue"}
@@ -131,7 +131,7 @@ def test_generated_comparisons():
         value, twin = make(), make()
         assert value is not twin and value == twin and hash(value) == hash(twin)
     assert Atom("a").__eq__(Nat(1)) is NotImplemented
-    assert Prop("p") != Term("p")  # the same fields, not the same class
+    assert Prop("p") != Atom("p")  # the same fields, not the same class
     # One exec per tuple of fields defines all three.
     assert Pair.__eq__.__globals__ is Pair.__hash__.__globals__ is Pair._assign.__globals__
     assert TruthValue.__eq__ is object.__eq__ and TruthValue.__hash__ is object.__hash__
