@@ -6,9 +6,8 @@ the other set.  The search space is a proper class in principle; here
 the codomain is cut down to the other set's realm plus a pool of fresh
 pebbles.  Any counting can be relabeled into such a codomain without
 changing the equality or inclusion verdicts, so nothing is lost.  A
-pebble is a ``_Pebble``, a class of element that no literal makes, and
-a pebble equals only itself, so no pebble is in either realm.  It also
-hashes by identity, in C, as a realm element's compiled hash does not.
+pebble is a ``_Pebble``, a class of element that no literal makes, so
+no pebble is in either realm.
 
 This module exists to validate the closed forms in ``numerosity`` and
 is deliberately naive: no memoization, no symmetry pruning, just the
@@ -31,8 +30,6 @@ class _Pebble(Element):
     """A fresh element to count into; it equals only itself."""
 
     __slots__ = ("index",)
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
 
 
 def _pebbles(a: NCSet, b: NCSet) -> list[_Pebble]:

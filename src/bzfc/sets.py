@@ -6,8 +6,9 @@ not false (``query_ext``).  Any two classical sets make a set, so each
 set operation is two classical ones.  The three disjoint parts, both
 true and false (``bpart``), just true (``tpart``) and neither
 (``npart``), are derived; disjointness is checked only where parts come
-in.  Realm elements are ``Element`` values with ordinary structural
-identity; sets never contain other sets here.
+in.  Realm elements are hash-consed ``Element`` values: one object per
+class and fields, compared and hashed by identity, in C; the table keeps
+every distinct element a process builds.  Sets never contain sets here.
 
 The module also provides classical (single-valued) functions between
 elements, images of sets under them, and the text literal syntax
@@ -27,11 +28,26 @@ from .value import Value
 # ---------------------------------------------------------------------------
 # Elements
 
+_ELEMENTS: dict[tuple, "Element"] = {}
+
 
 class Element(Value):
     """Base class for realm members: atoms, naturals, pairs, tags."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls.__init__, cls.__eq__, cls.__hash__ = object.__init__, object.__eq__, object.__hash__
+
+    def __new__(cls, *fields: object) -> "Element":
+        key = (cls, *fields, *map(type, fields))  # typed: Nat(True) is not Nat(1)
+        try:
+            return _ELEMENTS[key]
+        except KeyError:
+            element = object.__new__(cls)
+            element._assign(*fields)
+            return _ELEMENTS.setdefault(key, element)  # one of two racing threads wins
 
 
 class Atom(Element):

@@ -5,7 +5,8 @@ field names compiles ``==`` (same class, equal fields), a consistent hash and
 ``_assign(self, <fields>)``, which sets each field once; later assignment
 raises.  A class that adds fields gets each of the three it does not write;
 one that writes ``__init__`` checks or converts its arguments, then calls
-``_assign``.  Copies, pickles and the repr go through the fields too.
+``_assign``.  Realm elements (``sets.Element``) opt out of the compiled
+``==`` and hash.  Copies, pickles and the repr go through the fields too.
 """
 
 from functools import cache

@@ -36,10 +36,10 @@ class TestPebblePool:
         assert len(_pebbles(s, t)) == 3
 
     def test_a_pebble_equals_only_itself(self):
-        first, second = _Pebble(0), _Pebble(0)
-        assert first == first and second == second
-        assert first != second
-        assert len({first, second}) == 2
+        first = _Pebble(0)
+        assert _Pebble(0) is first
+        assert first != _Pebble(1) and first != Nat(0)
+        assert len({first, _Pebble(0), _Pebble(1)}) == 2
         assert repr(first) == "_Pebble(index=0)"
 
     def test_pebbles_hash_by_identity(self):

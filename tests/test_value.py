@@ -13,12 +13,14 @@ import sys
 import pytest
 
 import bzfc
+from bzfc import sets
 from bzfc.cardinal import Aleph, Cardinal
 from bzfc.checker import Model
 from bzfc.errors import DisjointnessViolation
-from bzfc.formula import Bottom, CNeg, Neg, Prop, parse
+from bzfc.formula import Bottom, CNeg, Membership, Neg, Prop, parse
+from bzfc.oracle import _Pebble
 from bzfc.parareal import ParaReal
-from bzfc.sets import Atom, ClassicalFn, Nat, NCSet, Pair, Tag, parse_ncset
+from bzfc.sets import Atom, ClassicalFn, Element, Nat, NCSet, Pair, Tag, parse_ncset
 from bzfc.truth import B, T, TruthValue
 from bzfc.value import Value
 
@@ -102,13 +104,17 @@ def test_derived_constructors_take_the_fields_in_order():
     with_fields = {cls for cls in value_classes()
                    if cls.__module__.startswith("bzfc.") and cls.__dict__.get("__slots__")}
     derived = {cls for cls in with_fields if cls.__init__ is cls._assign}
+    interned = {cls for cls in with_fields if issubclass(cls, Element)}
     assert {cls.__name__ for cls in derived} == {
-        "Prop", "Unary", "Binary", "Membership", "Equality", "Quantifier",
-        "Atom", "Nat", "Pair", "Tag", "_Pebble"}
-    assert {cls.__name__ for cls in with_fields - derived} == {
+        "Prop", "Unary", "Binary", "Membership", "Equality", "Quantifier"}
+    assert {cls.__name__ for cls in interned} == {"Atom", "Nat", "Pair", "Tag", "_Pebble"}
+    assert {cls.__name__ for cls in with_fields - derived - interned} == {
         "Aleph", "Cardinal", "NCSet", "ParaReal", "Model", "TruthValue"}
     for cls in derived:
         assert tuple(inspect.signature(cls).parameters) == cls._fields
+    for cls in interned:  # Element.__new__ passes the fields on to _assign
+        assert cls.__init__ is object.__init__
+        assert tuple(inspect.signature(cls._assign).parameters)[1:] == cls._fields
 
 
 def test_one_constructor_is_compiled_per_tuple_of_fields():
@@ -126,25 +132,26 @@ def test_one_constructor_is_compiled_per_tuple_of_fields():
 
 def test_generated_comparisons():
     # Separately built values with no field, one, two and three fields.
-    for make in (Bottom, lambda: Atom("a"), lambda: Pair(Atom("a"), Nat(1)),
+    for make in (Bottom, lambda: Prop("p"), lambda: Membership("x", "A"),
                  lambda: Cardinal(1, 0, 2)):
         value, twin = make(), make()
         assert value is not twin and value == twin and hash(value) == hash(twin)
-    assert Atom("a").__eq__(Nat(1)) is NotImplemented
+    assert Prop("p").__eq__(Neg(Prop("p"))) is NotImplemented
     assert Prop("p") != Atom("p")  # the same fields, not the same class
     # One exec per tuple of fields defines all three.
-    assert Pair.__eq__.__globals__ is Pair.__hash__.__globals__ is Pair._assign.__globals__
+    assert Membership.__eq__.__globals__ is Membership.__hash__.__globals__ \
+        is Membership._assign.__globals__
     assert TruthValue.__eq__ is object.__eq__ and TruthValue.__hash__ is object.__hash__
 
 
 def test_profiles_key_each_tuple_of_fields_apart():
     # cProfile files a function under (file, line, name), so the one-field
     # classes' hashes would share one key if they shared a file name.
-    atom, nat = Atom("a"), Nat(1)
+    prop, neg = Prop("p"), Neg(Prop("p"))
     profile = cProfile.Profile()
-    profile.runcall(lambda: (hash(atom), hash(nat)))
+    profile.runcall(lambda: (hash(prop), hash(neg)))
     hashes = [key for key in pstats.Stats(profile).stats if key[2] == "__hash__"]
-    assert len(hashes) == 2
+    assert len(hashes) == 2  # Neg's hash calls Prop's, under Prop's key
 
 
 @pytest.mark.parametrize("make, field", [(lambda: Atom(), "name"), (lambda: Pair(Atom("a")), "right")])
@@ -178,3 +185,39 @@ def test_truth_values_are_returned_not_rebuilt(monkeypatch):
     assert writes == []
     B._assign(True, True)
     assert len(writes) == 2
+
+
+ELEMENTS = [Atom("a"), Nat(3), Pair(Atom("a"), Nat(1)), Tag(Atom("a"), 2),
+            Tag(Pair(Nat(0), Tag(Atom("b"), 1)), 3), _Pebble(0)]
+
+
+@pytest.mark.parametrize("element", ELEMENTS, ids=lambda v: type(v).__name__)
+def test_an_element_is_one_object(element):
+    fields = [getattr(element, name) for name in element._fields]
+    assert type(element)(*fields) is element
+    assert copy.copy(element) is element and copy.deepcopy(element) is element
+    assert pickle.loads(pickle.dumps(element)) is element
+
+
+def test_one_object_per_class_and_fields():
+    assert Pair(Atom("a"), Tag(Nat(1), 0)) is Pair(Atom("a"), Tag(Nat(1), 0))
+    assert Tag(Tag(Atom("a"), 0), 1) is not Tag(Tag(Atom("a"), 1), 0)
+    assert Atom("1") != Nat(1) and Atom("1").__eq__(Nat(1)) is NotImplemented
+
+
+def test_the_table_key_holds_each_field_type(monkeypatch):
+    # Were Nat(True) the first one built, a later Nat(1) would print True.
+    monkeypatch.setattr(sets, "_ELEMENTS", {})
+    flag, real = Nat(True), Nat(1.0)
+    assert Nat(1) is not flag and Nat(1) is not real
+    assert str(Pair(Nat(1), Nat(1))) == "(1,1)"
+    assert Pair(Nat(1), Nat(1)) is not Pair(Nat(1), flag)
+
+
+def test_a_failed_construction_leaves_no_entry(monkeypatch):
+    monkeypatch.setattr(sets, "_ELEMENTS", {})
+    with pytest.raises(TypeError, match="missing 1 required positional argument: 'name'"):
+        Atom()
+    with pytest.raises(TypeError, match="missing 1 required positional argument: 'right'"):
+        Pair(Atom("a"))
+    assert list(sets._ELEMENTS.values()) == [Atom("a")]  # built as the pair's left field
