@@ -13,8 +13,8 @@ pays only for the modules it touches.
 import importlib
 
 _EXPORTS = {
-    "cardinal": ("Aleph", "B_UNIT", "Cardinal", "ClassicalCard", "N_UNIT", "ONE",
-                 "ZERO", "card_of", "eval_arith", "finite_lattice", "lattice_dot"),
+    "cardinal": ("Aleph", "Cardinal", "ClassicalCard", "ONE", "ZERO", "card_of", "eval_arith",
+                 "finite_lattice", "lattice_dot"),
     "checker": ("Model", "eval_prop", "evaluate", "valid_prop"),
     "formula": ("Formula", "desugar", "parse", "render"),
     "numerosity": ("cong_tv", "preceq_tv"),

@@ -95,8 +95,6 @@ class Cardinal(Linear):
 
 ZERO = Cardinal(0, 0, 0)
 ONE = Cardinal(1, 0, 0)
-B_UNIT = Cardinal(0, 1, 0)
-N_UNIT = Cardinal(0, 0, 1)
 
 
 def card_of(a: NCSet) -> Cardinal:

@@ -13,7 +13,7 @@ import time
 from helpers import random_ncset
 from test_sets import two_atom_family
 from bzfc import truth
-from bzfc.cardinal import Aleph, B_UNIT, Cardinal, N_UNIT, ONE, ZERO, card_of, finite_lattice
+from bzfc.cardinal import Aleph, Cardinal, ONE, ZERO, card_of, finite_lattice
 from bzfc.checker import eval_prop, valid_prop
 from bzfc.formula import parse
 from bzfc.numerosity import cong_tv, preceq_tv
@@ -23,6 +23,8 @@ from bzfc.sets import Atom, ClassicalFn, Nat, NCSet
 from bzfc.truth import ALL_VALUES, B, F, N, T, TruthValue
 
 a, b, c, d = (Atom(ch) for ch in "abcd")
+B_UNIT = Cardinal(0, 1, 0)
+N_UNIT = Cardinal(0, 0, 1)
 
 
 def report(num: int, text: str) -> None:

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_sets import ncsets
-from bzfc.cardinal import (Aleph, B_UNIT, Cardinal, N_UNIT, ONE, ZERO, card_of, finite_lattice,
-                           lattice_dot)
+from bzfc.cardinal import Aleph, Cardinal, ONE, ZERO, card_of, finite_lattice, lattice_dot
 from bzfc.errors import GuardExceeded
 from bzfc.numerosity import preceq_tv
 from bzfc.oracle import cong_brute, preceq_brute
@@ -17,6 +16,8 @@ from bzfc.truth import B, F, N, T
 
 a, b, c, d = (Atom(ch) for ch in "abcd")
 
+B_UNIT = Cardinal(0, 1, 0)
+N_UNIT = Cardinal(0, 0, 1)
 ALEPH0 = Cardinal(Aleph(0), 0, 0)
 ALEPH0_PLUS_B = Cardinal(Aleph(0), 1, 0)
 

@@ -13,6 +13,7 @@ from bzfc.errors import ParseError
 from bzfc.formula import MAX_NESTING, parse
 from bzfc.parareal import ParaReal
 from bzfc.sets import Atom, Nat, NCSet, Pair, Tag, parse_ncset
+from bzfc.truth import F, T
 
 
 def run(capsys, *argv):
@@ -351,7 +352,7 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--seed", "3", "--cases", "20")
         assert code == 0
         assert "all" in out and "passed" in out
-        assert out.count("ok ") == 6
+        assert out.count("ok ") == 5
 
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "check", "--seed", "3", "--cases", "15")
@@ -373,6 +374,33 @@ class TestCheck:
         assert code == 5
         assert "FAIL oracle-random" in out
         assert "<{a}|{}|{}>" in out
+
+    @pytest.mark.parametrize("method, bridge", [("eq_tv", "eq/cong bridge: "),
+                                                ("le_tv", "le/preceq bridge: ")],
+                             ids=["eq_tv", "le_tv"])
+    def test_oracle_suites_hold_cardinal_comparisons_to_the_search(self, capsys, monkeypatch,
+                                                                   method, bridge):
+        right = getattr(Cardinal, method)
+        monkeypatch.setattr(Cardinal, method,
+                            lambda self, other: F if right(self, other) == T else T)
+        code, out, _ = run(capsys, "check", "--seed", "7", "--cases", "20")
+        assert code == 5
+        lines = out.splitlines()
+        assert [line.split()[1] for line in lines if line.startswith("FAIL ")] == [
+            "oracle-exhaustive", "oracle-random"]
+        details = [line.strip() for line in lines if line.startswith("  ")]
+        assert details and all(detail.startswith((bridge, "... and ")) for detail in details)
+
+    def test_each_pair_is_searched_once(self, monkeypatch):
+        from bzfc import oracle, selfcheck
+        calls = {"cong_brute": 0, "preceq_brute": 0}
+        for name in calls:
+            def counted(a, b, search=getattr(oracle, name), name=name):
+                calls[name] += 1
+                return search(a, b)
+            monkeypatch.setattr(oracle, name, counted)
+        assert all(result.ok for result in selfcheck.run_all(7, 50))
+        assert calls == {"cong_brute": 256 + 50, "preceq_brute": 256 + 50}
 
 
 class TestSessions:
