@@ -11,12 +11,15 @@ no pebble is in either realm.
 
 This module exists to validate the closed forms in ``numerosity`` and
 is deliberately naive: no memoization, no symmetry pruning, just the
-definitions and a factorial guard.
+definitions and a factorial guard.  ``enumerate_countings`` is a C
+iterator, so a counting runs Python code only in ``ClassicalFn``'s
+constructor, ``ClassicalFn.image``, ``NCSet.from_extensions`` and the
+relation, ``NCSet.eq_tv`` or ``NCSet.subset_tv``.
 """
 
 from __future__ import annotations
 
-import itertools
+from itertools import permutations, repeat
 from typing import Iterator, Sequence
 
 from .errors import GuardError, GuardExceeded
@@ -38,13 +41,13 @@ def _pebbles(a: NCSet, b: NCSet) -> list[_Pebble]:
 
 
 def enumerate_countings(a: NCSet, codomain: Sequence[Element]) -> Iterator[ClassicalFn]:
-    """All injections from the realm of ``a`` into the codomain."""
+    """All injections from the realm of ``a`` into the codomain, in the
+    order of ``permutations``; the guard runs on the call."""
     realm = sorted(a.realm, key=str)
     if len(codomain) < len(realm):
         raise GuardError(
             f"codomain of {len(codomain)} cannot count a realm of {len(realm)}")
-    for chosen in itertools.permutations(codomain, len(realm)):
-        yield ClassicalFn(zip(realm, chosen))
+    return map(ClassicalFn, map(zip, repeat(realm), permutations(codomain, len(realm))))
 
 
 def _guard(a: NCSet, b: NCSet) -> None:

@@ -21,8 +21,10 @@ from typing import Iterable, Mapping
 
 from .errors import DisjointnessViolation, DomainError
 from .scan import Cursor
-from .truth import B, F, N, T, TruthValue
+from .truth import _BY_FLAGS, B, F, N, T, TruthValue
 from .value import Value
+
+_set = object.__setattr__  # past Value's immutability, as value._assign writes
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +100,9 @@ class NCSet(Value):
     @classmethod
     def from_extensions(cls, bang_ext: Iterable[Element], query_ext: Iterable[Element]) -> "NCSet":
         """Build the unique set with the given !-extension and ?-extension."""
-        a = object.__new__(cls)
-        a._assign(frozenset(bang_ext), frozenset(query_ext))
+        a = object.__new__(cls)  # every oracle image is built here: no _assign frame
+        _set(a, "bang_ext", frozenset(bang_ext))
+        _set(a, "query_ext", frozenset(query_ext))
         return a
 
     def __reduce__(self) -> tuple:
@@ -130,17 +133,18 @@ class NCSet(Value):
             return T if x in self.query_ext else B
         return N if x in self.query_ext else F
 
+    # Each relation looks its verdict up by its flags, with no TruthValue.__new__ frame.
     def subset_tv(self, other: "NCSet") -> TruthValue:
-        return TruthValue(
+        return _BY_FLAGS[
             self.bang_ext <= other.bang_ext and self.query_ext <= other.query_ext,
             not self.bang_ext <= other.query_ext,
-        )
+        ]
 
     def eq_tv(self, other: "NCSet") -> TruthValue:
-        return TruthValue(
+        return _BY_FLAGS[
             self.bang_ext == other.bang_ext and self.query_ext == other.query_ext,
             not (self.bang_ext <= other.query_ext and other.bang_ext <= self.query_ext),
-        )
+        ]
 
     def union(self, other: "NCSet") -> "NCSet":
         return NCSet.from_extensions(self.bang_ext | other.bang_ext,
@@ -182,7 +186,10 @@ class NCSet(Value):
 
 
 class ClassicalFn:
-    """A finite single-valued map between elements."""
+    """A finite single-valued map between elements, held as its ``graph``
+    dict in one slot, since the counting oracle makes one per counting."""
+
+    __slots__ = ("graph",)
 
     def __init__(self, graph: Mapping[Element, Element] | Iterable[tuple[Element, Element]]):
         self.graph = dict(graph)

@@ -6,7 +6,9 @@ field names compiles ``==`` (same class, equal fields), a consistent hash and
 raises.  A class that adds fields gets each of the three it does not write;
 one that writes ``__init__`` checks or converts its arguments, then calls
 ``_assign``.  Realm elements (``sets.Element``) opt out of the compiled
-``==`` and hash.  Copies, pickles and the repr go through the fields too.
+``==`` and hash.  ``sets.NCSet.from_extensions``, which builds every
+image the counting oracle relates, sets its two slots itself, as
+``_assign`` would.  Copies, pickles and the repr go through the fields too.
 """
 
 from functools import cache

@@ -1,8 +1,11 @@
 """The brute-force counting search, and its agreement with the closed forms."""
 
+import cProfile
 import itertools
 import math
+import pstats
 import random
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +77,34 @@ class TestEnumeration:
     def test_pool_too_small(self):
         with pytest.raises(GuardError, match="codomain of 1 cannot count a realm of 2"):
             list(enumerate_countings(NCSet({a}, {b}, set()), [c]))
+
+    def test_pool_too_small_is_refused_on_the_call(self):
+        # The guard runs when the countings are asked for, before any is built.
+        with pytest.raises(GuardError, match="codomain of 2 cannot count a realm of 3"):
+            enumerate_countings(NCSet({a}, {b}, {c}), [d, Atom("e")])
+
+    def test_countings_hold_only_a_graph_on_the_realms_own_elements(self):
+        s = NCSet({a}, {Pair(b, Nat(1))}, {Tag(c, 0)})
+        countings = list(enumerate_countings(s, [d, Atom("e"), Nat(0)]))
+        assert len(countings) == 6
+        for counting in countings:
+            assert type(counting) is ClassicalFn and not hasattr(counting, "__dict__")
+            assert {id(x) for x in counting.graph} == {id(x) for x in s.realm}
+
+    def test_a_counting_runs_no_spare_python_frame(self):
+        # Each counting runs ClassicalFn's constructor, image, from_extensions
+        # and the relation as Python code; the rest (the permutations, the
+        # graph, the extensions, the verdict's lookup) runs in C.
+        s, t = NCSet({a, b}, {c}, {d}), NCSet({a}, {Atom("e")}, set())
+        countings = math.perm(len(t.realm) + len(s.realm) + len(t.realm), len(s.realm))
+        for search, relation in ((cong_brute, "eq_tv"), (preceq_brute, "subset_tv")):
+            profile = cProfile.Profile()
+            assert profile.runcall(search, s, t) != T
+            per_counting = {(Path(path).name, name) for (path, _, name), (calls, *_) in
+                            pstats.Stats(profile).stats.items()
+                            if path != "~" and calls >= countings}
+            assert per_counting == {("sets.py", name) for name in
+                                    ("__init__", "image", "from_extensions", relation)}
 
 
 class TestBruteForce:

@@ -10,7 +10,7 @@ from bzfc.errors import DisjointnessViolation, DomainError, ParseError
 from bzfc.selfcheck import two_atom_family
 from bzfc.sets import (Atom, ClassicalFn, Nat, NCSet, Pair, Tag,
                        _LiteralParser, parse_ncset)
-from bzfc.truth import B, F, N, T, conj, disj, neg
+from bzfc.truth import ALL_VALUES, B, F, N, T, TruthValue, conj, disj, neg
 
 A_ = Atom("a")
 B_ = Atom("b")
@@ -62,6 +62,20 @@ class TestConstruction:
         assert NCSet.from_extensions({A_}, {A_}) == NCSet(set(), {A_}, set())
         assert NCSet.from_extensions(set(), {A_}) == NCSet(set(), set(), {A_})
 
+    def test_from_extensions_sets_two_frozen_fields(self):
+        # from_extensions writes its two slots itself; the set it makes is
+        # the one built from its parts, and it stays immutable.
+        for s in FAMILY:
+            twin = NCSet.from_extensions(list(s.bang_ext), iter(s.query_ext))
+            assert twin == s and hash(twin) == hash(s)
+            assert type(twin.bang_ext) is type(twin.query_ext) is frozenset
+            for field in ("bang_ext", "query_ext"):
+                with pytest.raises(AttributeError):
+                    setattr(twin, field, frozenset())
+                with pytest.raises(AttributeError):
+                    delattr(twin, field)
+            assert (twin.bang_ext, twin.query_ext) == (s.bang_ext, s.query_ext)
+
     @given(ncsets())
     def test_round_trips(self, s):
         assert NCSet(s.bpart, s.tpart, s.npart) == s
@@ -105,6 +119,17 @@ class TestComparisons:
         classical = NCSet(set(), {A_, B_}, set())
         assert classical.eq_tv(NCSet(set(), {A_, B_}, set())) == T
         assert NCSet({A_}, set(), set()).eq_tv(NCSet(set(), set(), {A_})) == N
+
+    def test_relations_return_the_four_values_themselves(self):
+        # The verdict is looked up by its flags, never built.
+        for relation in (NCSet.eq_tv, NCSet.subset_tv):
+            seen = set()
+            for a, b in itertools.product(FAMILY, repeat=2):
+                got = relation(a, b)
+                assert any(got is v for v in ALL_VALUES)
+                assert got is TruthValue(got.assertable, got.deniable)
+                seen.add(got)
+            assert seen == set(ALL_VALUES)
 
     @given(ncsets(), ncsets())
     def test_eq_is_two_way_subset_on_assertability(self, a, b):
@@ -229,6 +254,13 @@ class TestImages:
     def test_identity_image(self, s):
         identity = ClassicalFn({x: x for x in s.realm})
         assert identity.image(s) == s
+
+    def test_a_function_holds_only_its_graph(self):
+        f = ClassicalFn(zip(THREE, (D_, D_, Nat(0))))
+        assert not hasattr(f, "__dict__")
+        assert f.graph == {A_: D_, B_: D_, C_: Nat(0)}
+        with pytest.raises(AttributeError):
+            f.cache = {}
 
     def test_uncovered_realm_is_an_error(self):
         s = NCSet({A_}, {B_}, set())
