@@ -1,42 +1,34 @@
 """Four-valued evaluation of formulas over finite models.
 
-A model carries a finite ordered universe (elements and/or sets) and a
-name environment.  Quantifiers range over the declared universe, not
-over everything there is; this makes evaluation total and testable and
-is the one deliberate departure from the intended class-sized domain.
+A model is a finite ordered universe (elements and/or sets) and a name
+environment.  Quantifiers range over the declared universe only; this makes
+evaluation total, the one deliberate departure from the class-sized domain.
 
-One engine serves ``evaluate``, ``eval_prop`` and ``valid_prop``.
-``_compile`` turns a formula, once per call, into nested closures over an
-environment indexed by slot: letter i takes slot i, and a bound variable the
-slot of its binder depth, where it holds the bound entry's position in the
-universe.  The engine runs on codes, a truth value's index in ``ALL_VALUES``
-(t, b, n, f = 0, 1, 2, 3, so below 2 is assertable), and turns them back
-into truth values only in its results.  Each connective is a table over the
-codes, built from ``truth``; each name is looked up once.  An atom is
-computed when it is compiled if it reads no bound variable, and tabulated
-over the universe if it reads one (``x in A``, ``a = x``, ``x in x``): a
-set's two extensions fix its truth value for each entry, so one row of |U|
-codes, indexed by position, serves all |U|^d instances of the quantifiers
-above it.  Only an atom over two distinct bound variables is computed per
-instance; no table outgrows the universe.  One budget, ``MAX_WORK``, bounds
-the work: as it is compiled, before its children, each node is charged the
-most times it can run (4^k under ``valid_prop``, |U|^d below d binders, once
-under ``eval_prop``), times the printed length of the longest entry for an
-atom computed per instance, which compares two.  An unresolved name, an
-empty universe or work past the limit raises as it is compiled, the first one
-a walk of the tree meets, so the compiled formula raises nothing.  At run time
-a binary node skips its right operand when the left code fixes the result,
-that is, when the left code's row of the table is constant (``_FIXED``: f for
-/\\ and =>, t for \\/, n and f for & and ->; none for <-> and <=>), as
-McCarthy's conditional and/or do; each quantifier runs its body on every
-instance.  ``valid_prop`` calls the compiled formula on each of the 4^k
-assignments.
+One engine serves ``evaluate``, ``eval_prop`` and ``valid_prop``.  ``_compile``
+turns a formula, once per call, into a node over an environment of slots:
+letter i takes slot i, and a bound variable the slot of its binder depth,
+holding its entry's position in the universe.  Nodes compute codes, a truth
+value's index in ``ALL_VALUES`` (t, b, n, f = 0-3; below 2 is assertable),
+by tables built from ``truth``.  One rule shapes them: what reads no slot is
+computed once, and what reads one slot once per value of it.  So a node is a
+constant code, a row ``(slot, codes)`` (a letter, or an atom over one bound
+variable) or a closure.  Connectives map constants and rows through their
+tables and merge two rows on one slot; a quantifier, the idempotent meet or
+join of its instances, keeps a constant or a row over an outer slot and
+reduces a row over its own.  A closure reads rows inline and skips its right
+operand when the left code fixes the result (``_FIXED``), as McCarthy's
+conditional and/or do.  ``MAX_WORK`` bounds the work: each node is charged,
+before any folding, the most times it can run (4^k under ``valid_prop``,
+|U|^d below d binders; for an atom over two bound variables, times the
+longest entry's printed length).  An unresolved name, an empty universe or
+work past the limit raises as it is compiled, the first one a walk of the
+tree meets, so the compiled formula raises nothing.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter
+from functools import reduce
 from typing import Any, Callable, Iterable, Mapping, Sequence, Union
 
 from . import formula as fm
@@ -46,13 +38,14 @@ from .truth import ALL_VALUES, F, T, TruthValue, amp, bang, circ, cneg, conj, di
 from .value import Value
 
 DomainValue = Union[Element, NCSet]
-Compiled = Callable[[Any], int]  # a code: the index of a value in ALL_VALUES
+Node = Union[int, tuple, Callable[[Any], int]]  # a code, a (slot, codes) row or a closure
 
 MAX_WORK = 2 ** 23  # node runs; the slowest shape takes about 2 s on a 2-core VM (README)
 
 _ATOMS = (fm.Membership, fm.Equality)
 _CODE = {value: code for code, value in enumerate(ALL_VALUES)}
 _T, _F = _CODE[T], _CODE[F]
+_LETTER = (0, 1, 2, 3)  # a letter's row: its own code
 _UNARY = {kind: tuple([_CODE[op(x)] for x in ALL_VALUES]) for kind, op in {
     fm.Neg: neg, fm.CNeg: cneg, fm.Bang: bang, fm.Query: query, fm.Circ: circ}.items()}
 _BINARY = {kind: tuple([tuple([_CODE[op(x, y)] for y in ALL_VALUES]) for x in ALL_VALUES]) for kind, op in {
@@ -75,13 +68,17 @@ class Model(Value):
 
 def evaluate(f: fm.Formula, model: Model) -> TruthValue:
     """The truth value of a closed formula in the model."""
-    return ALL_VALUES[_compile(f, model, (), 1, [0])([])]
+    node = _compile(f, model, (), 1, [0])  # no row: a closed formula reads no slot of its own
+    return ALL_VALUES[node if isinstance(node, int) else node([])]
 
 
 def eval_prop(f: fm.Formula, assignment: Mapping[str, TruthValue]) -> TruthValue:
     """Evaluate a propositional formula under a letter assignment."""
     codes = tuple([_CODE[value] for value in assignment.values()])
-    return ALL_VALUES[_compile(f, None, tuple(assignment), 1, [0])(codes)]
+    node = _compile(f, None, tuple(assignment), 1, [0])
+    if isinstance(node, tuple):
+        node = node[1][codes[node[0]]]
+    return ALL_VALUES[node if isinstance(node, int) else node(codes)]
 
 
 def valid_prop(f: fm.Formula) -> tuple[bool, dict[str, TruthValue] | None]:
@@ -89,6 +86,10 @@ def valid_prop(f: fm.Formula) -> tuple[bool, dict[str, TruthValue] | None]:
     one, in ``itertools.product`` order over t, b, n, f, that falsifies it."""
     letters = fm.prop_letters(f)
     value = _compile(f, None, letters, 4 ** len(letters), [0])
+    if not callable(value):  # it reads one letter or none, so the first failure sets the rest t
+        slot, row = value if isinstance(value, tuple) else (0, (value,))
+        return next(((False, {name: ALL_VALUES[code if i == slot else 0] for i, name in enumerate(letters)})
+                     for code, x in enumerate(row) if x > 1), (True, None))
     for codes in itertools.product(range(4), repeat=len(letters)):
         if value(codes) > 1:
             return False, dict(zip(letters, [ALL_VALUES[code] for code in codes]))
@@ -96,33 +97,46 @@ def valid_prop(f: fm.Formula) -> tuple[bool, dict[str, TruthValue] | None]:
 
 
 def _compile(f: fm.Formula, model: Model | None, scope: Sequence[str],
-             runs: int, spent: list[int]) -> Compiled:
-    """``f`` as a function of the environment, to be called ``runs``
-    times.  ``scope`` names the slots; ``model`` is None for a
-    propositional formula, whose letters are the slots.  ``spent[0]`` is
-    the work charged so far."""
+             runs: int, spent: list[int]) -> Node:
+    """``f`` as a node over the environment, to be run ``runs`` times.  ``scope``
+    names the slots, which are the letters when ``model`` is None (a
+    propositional formula); ``spent[0]`` is the work charged so far."""
     spent[0] += runs * _weight(f, model, scope, spent) if isinstance(f, _ATOMS) else runs
     if spent[0] > MAX_WORK:
         raise GuardExceeded(f"the formula needs more than {MAX_WORK:,} node evaluations "
                             "(the work limit)")
     table = _UNARY.get(type(f))
     if table is not None:
-        body = _compile(f.body, model, scope, runs, spent)
-        return lambda env: table[body(env)]
+        return _map(table, _compile(f.body, model, scope, runs, spent))
     table = _BINARY.get(type(f))
-    if table is not None:
+    if table is not None:  # a map when an operand is a constant; rows on one slot merge
         left = _compile(f.left, model, scope, runs, spent)
         right = _compile(f.right, model, scope, runs, spent)
+        if isinstance(left, int):
+            return _map(table[left], right)
+        if isinstance(right, int):
+            return _map(tuple([row[right] for row in table]), left)
         fixed = _FIXED[type(f)]
-        return lambda env: table[x][right(env)] if fixed[x := left(env)] is None else fixed[x]
+        if isinstance(left, tuple):
+            i, x = left
+            if isinstance(right, tuple):
+                j, y = right
+                if i == j:
+                    return _row(i, tuple([table[a][b] for a, b in zip(x, y)]))
+                return lambda env: table[x[env[i]]][y[env[j]]]
+            return lambda env: table[c][right(env)] if fixed[c := x[env[i]]] is None else fixed[c]
+        if isinstance(right, tuple):
+            j, y = right
+            return lambda env: table[left(env)][y[env[j]]]
+        return lambda env: table[c][right(env)] if fixed[c := left(env)] is None else fixed[c]
     if isinstance(f, fm.Bottom):
-        return lambda env: _F
+        return _F
     if isinstance(f, fm.Prop):
         if model is None:
             slot = _slot(scope, f.name)
             if slot is None:
                 raise KeyError(f.name)
-            return itemgetter(slot)
+            return slot, _LETTER
         raise UnresolvedName(f.name)
     if model is None:
         raise NotPropositional(type(f).__name__)
@@ -131,8 +145,11 @@ def _compile(f: fm.Formula, model: Model | None, scope: Sequence[str],
         if not positions:
             raise GuardError("quantifier evaluated over an empty universe; declare one")
         body = _compile(f.body, model, (*scope, f.var), runs * len(positions), spent)
-        # forall is the /\ of its instances and exists their \/.
+        # forall is the /\ of its instances and exists their \/, both idempotent.
         table, start = (_BINARY[fm.Conj], _T) if isinstance(f, fm.Forall) else (_BINARY[fm.Disj], _F)
+        if not callable(body):  # the same on every instance, or a row to reduce
+            return body if isinstance(body, int) or body[0] < depth else reduce(
+                lambda value, code: table[value][code], body[1], start)
 
         def quantify(env: list) -> int:
             env.append(None)
@@ -149,8 +166,23 @@ def _compile(f: fm.Formula, model: Model | None, scope: Sequence[str],
     raise TypeError(f"not a formula: {f!r}")
 
 
+def _map(table: tuple[int, ...], node: Node) -> Node:
+    """``node`` through a unary connective's table, or a binary one's row or column."""
+    if isinstance(node, int):
+        return table[node]
+    if isinstance(node, tuple):
+        slot, row = node
+        return _row(slot, table if row is _LETTER else tuple([table[code] for code in row]))
+    return table[0] if len(set(table)) == 1 else lambda env: table[node(env)]
+
+
+def _row(slot: int, codes: tuple[int, ...]) -> Node:
+    """A row of codes over ``slot``, or its one code if it holds only one."""
+    return codes[0] if len(set(codes)) == 1 else (slot, codes)
+
+
 def _atom(relate: Callable[[DomainValue, DomainValue], int],
-          f: fm.Membership | fm.Equality, model: Model, scope: Sequence[str]) -> Compiled:
+          f: fm.Membership | fm.Equality, model: Model, scope: Sequence[str]) -> Node:
     """``relate`` on the values of the atom's terms: computed here when
     both are constants, tabulated over the universe when they read one
     bound variable, and computed per instance when they read two."""
@@ -169,11 +201,9 @@ def _atom(relate: Callable[[DomainValue, DomainValue], int],
 
     slot = right if left is None else left
     if slot is None:
-        value = at(None)
-        return lambda env: value
+        return at(None)
     # Built from a list: from a generator, 20 ``fo-eval`` rounds peaked 0.8 MiB higher (tracemalloc).
-    row = tuple([at(u) for u in universe])
-    return lambda env: row[env[slot]]
+    return _row(slot, tuple([at(u) for u in universe]))
 
 
 def _weight(f: fm.Membership | fm.Equality, model: Model | None, scope: Sequence[str],
@@ -191,7 +221,7 @@ def _weight(f: fm.Membership | fm.Equality, model: Model | None, scope: Sequence
 
 def _slot(scope: Sequence[str], name: str) -> int | None:
     """The slot of the innermost binding of ``name``, or None."""
-    return max((slot for slot, bound in enumerate(scope) if bound == name), default=None)
+    return len(scope) - 1 - scope[::-1].index(name) if name in scope else None
 
 
 def _member(x: DomainValue, s: DomainValue) -> int:

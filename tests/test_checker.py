@@ -3,10 +3,12 @@ two-relation satisfaction recursion, plus propositional validity."""
 
 import itertools
 import random
+import sys
 
 import pytest
 
-from helpers import random_closed_formula, random_model, sat_neg, sat_pos, truth_value_by_satisfaction
+from helpers import (expand_defined, random_closed_formula, random_formula, random_model, sat_neg, sat_pos,
+                     truth_value_by_satisfaction)
 from bzfc import checker
 from bzfc import formula as fm
 from bzfc.checker import Model, eval_prop, evaluate, valid_prop
@@ -279,6 +281,14 @@ class TestWorkBudget:
         with pytest.raises(GuardExceeded):
             valid_prop(parse("!" + text))
 
+    @pytest.mark.parametrize("k, code, out, err", [(9, 0, "valid\n", ""), (10, 4, "", WORK_ERROR + "\n")])
+    def test_folded_nodes_are_charged_in_full(self, capsys, k, code, out, err):
+        # The tautology !p0 \/ ~!p0 fixes the root, so no assignment runs,
+        # but each node is charged for all 4**k of them, as before folding.
+        text = "(!p0 \\/ ~!p0) \\/ (" + " /\\ ".join(f"p{i}" for i in range(k)) + ")"
+        assert main(["valid", text]) == code
+        assert capsys.readouterr() == (out, err)
+
     def test_eval_prop_runs_once(self, monkeypatch):
         monkeypatch.setattr(checker, "MAX_WORK", 5)
         assert eval_prop(parse("p /\\ q -> p"), {"p": T, "q": F}) == T
@@ -542,3 +552,204 @@ class TestAgainstFirstOrderEncoding:
             assert valid_prop(f) == expected, fm.render(f)
             seen[expected[0]] += 1
         assert min(seen.values()) >= 20, seen
+
+
+def python_calls(run, *args) -> tuple[object, int]:
+    """``run(*args)`` and the number of Python frames it started."""
+    calls = []
+    sys.setprofile(lambda frame, event, arg: event == "call" and calls.append(frame.f_code.co_name))
+    try:
+        result = run(*args)
+    finally:
+        sys.setprofile(None)
+    return result, len(calls)
+
+
+def letters_as_atoms(f: fm.Formula) -> fm.Formula:
+    """f with each letter x written as the atom x in A."""
+    if isinstance(f, fm.Prop):
+        return fm.Membership(f.name, "A")
+    if isinstance(f, fm.Unary):
+        return type(f)(letters_as_atoms(f.body))
+    if isinstance(f, fm.Binary):
+        return type(f)(letters_as_atoms(f.left), letters_as_atoms(f.right))
+    if isinstance(f, fm.Quantifier):
+        return type(f)(f.var, letters_as_atoms(f.body))
+    return f
+
+
+def first_failure(f: fm.Formula):
+    """``valid_prop``'s answer, by the satisfaction recursion."""
+    letters = fm.prop_letters(f)
+    for values in itertools.product(ALL_VALUES, repeat=len(letters)):
+        assignment = dict(zip(letters, values))
+        if not reference(f, assignment).assertable:
+            return False, assignment
+    return True, None
+
+
+class TestFolding:
+    """A node that reads no slot is computed once, as it is compiled, and
+    one that reads one slot once per value of that slot (a row); only the
+    rest runs per instance or assignment."""
+
+    FIVE = Model([Atom(name) for name in "abcde"],
+                 {"a": Atom("a"), "A": NCSet({Atom("a")}, {Atom("b"), Atom("c")}, {Atom("d")}),
+                  "B": NCSet({Atom("c")}, {Atom("a")}, {Atom("e"), Atom("b")})})
+
+    @staticmethod
+    def counted(monkeypatch) -> dict:
+        """Counts of ``member_tv`` and ``_equal`` calls, and of runs of
+        the compiled root: the outermost ``_compile`` call's result, when
+        it is a closure."""
+        counts = {"member_tv": 0, "_equal": 0, "root": 0}
+        member_tv, equal, compile_ = NCSet.member_tv, checker._equal, checker._compile
+        depth = [0]
+
+        def count(name):
+            counts[name] += 1
+
+        def compile_counted(*args):
+            depth[0] += 1
+            try:
+                node = compile_(*args)
+            finally:
+                depth[0] -= 1
+            if depth[0] or not callable(node):
+                return node
+            return lambda env: count("root") or node(env)
+
+        monkeypatch.setattr(NCSet, "member_tv", lambda s, x: count("member_tv") or member_tv(s, x))
+        monkeypatch.setattr(checker, "_equal", lambda x, y: count("_equal") or equal(x, y))
+        monkeypatch.setattr(checker, "_compile", compile_counted)
+        return counts
+
+    def evaluated(self, monkeypatch, text: str) -> tuple[TruthValue, dict]:
+        """The value of ``text`` in FIVE, checked against the satisfaction
+        recursion, with the counts of its evaluation."""
+        f = parse(text)
+        counts = self.counted(monkeypatch)
+        value = evaluate(f, self.FIVE)
+        monkeypatch.undo()
+        g = expand_defined(f)
+        assert (value.assertable, value.deniable) == (sat_pos(g, self.FIVE), sat_neg(g, self.FIVE)), text
+        assert value == truth_value_by_satisfaction(f, self.FIVE), text
+        return value, counts
+
+    def validated(self, monkeypatch, text: str) -> int:
+        """The runs of the compiled root of ``text`` under ``valid_prop``,
+        whose answer is checked against the satisfaction recursion."""
+        f = parse(text)
+        counts = self.counted(monkeypatch)
+        answer = valid_prop(f)
+        monkeypatch.undo()
+        assert answer == first_failure(f), text
+        return counts["root"]
+
+    @pytest.mark.parametrize("text, node, member_tv", [
+        ("forall x . forall y . ~!(x in A)", int, 5),      # a row through two tables, reduced by forall x
+        ("exists y . ?~(a in A)", int, 1),                 # a constant through two tables
+        ("forall x . exists y . -(x in B) & y in A", None, 10),
+    ])
+    def test_unary_maps_a_constant_or_a_row(self, monkeypatch, text, node, member_tv):
+        _, counts = self.evaluated(monkeypatch, text)
+        assert counts["member_tv"] == member_tv
+        compiled = checker._compile(parse(text), self.FIVE, (), 1, [0])
+        assert isinstance(compiled, node) if node else callable(compiled)
+
+    @pytest.mark.parametrize("text, equal", [
+        ("forall x . forall y . false /\\ x = y", 0),      # the left code fixes the result
+        ("forall x . forall y . x = y \\/ ~false", 0),     # so does the right one
+        ("forall x . forall y . ~false /\\ x = y", 25),    # t /\ is the identity: x = y itself
+        ("forall x . forall y . x = y <-> false", 25),     # a map of x = y
+        ("forall x . forall y . a = a -> x = y", 26),      # a = a is computed once
+    ])
+    def test_a_constant_operand_fixes_the_result_or_maps_the_other(self, monkeypatch, text, equal):
+        _, counts = self.evaluated(monkeypatch, text)
+        assert counts["_equal"] == equal
+        assert counts["root"] == (equal > 1)
+
+    @pytest.mark.parametrize("text, runs", [
+        ("(p /\\ q) \\/ ~false", 0), ("(p /\\ q) /\\ false", 0), ("false -> p /\\ q", 0),
+        ("(p /\\ q) <-> false", 1), ("~false /\\ (p /\\ q)", 3),
+    ])
+    def test_valid_prop_runs_a_root_that_stays_a_closure(self, monkeypatch, text, runs):
+        # p /\ q first fails at p = t, q = n, the third assignment; <-> false
+        # is b there only when p /\ q is b, so the first one already fails.
+        assert self.validated(monkeypatch, text) == runs
+
+    @pytest.mark.parametrize("text", ["!~p", "-!~p", "p \\/ ~p", "(p /\\ !p) -> ?p", "!p /\\ -?p <=> (p & p)",
+                                      "(!p0 \\/ ~!p0) \\/ (p0 /\\ p1 /\\ p2)", "q \\/ ((p /\\ r) /\\ false)",
+                                      "r & ((p -> q) /\\ false)", "(p /\\ false) <-> (q /\\ false)"])
+    def test_rows_on_one_slot_merge(self, monkeypatch, text):
+        # Each root is a constant or a row over one letter, so valid_prop
+        # answers from its codes, with the same first witness.
+        assert self.validated(monkeypatch, text) == 0
+
+    def test_rows_on_one_bound_variable_merge(self, monkeypatch):
+        value, counts = self.evaluated(monkeypatch, "forall x . forall y . x in A /\\ ~(x in B) \\/ x = a")
+        assert (counts["member_tv"], counts["_equal"], counts["root"]) == (10, 5, 0)
+
+    def test_closures_read_rows_inline(self):
+        # One frame per run: the letters, and the rows of x in A and y in B,
+        # are read, not called.
+        iff = checker._compile(parse("p <-> !q"), None, ("p", "q"), 1, [0])
+        for codes in itertools.product(range(4), repeat=2):
+            assert python_calls(iff, codes)[1] == 1
+        f = parse("forall x . exists y . x in A <=> y in B")
+        code, calls = python_calls(checker._compile(f, self.FIVE, (), 1, [0]), [])
+        assert calls == 1 + 5 + 25
+        assert ALL_VALUES[code] == truth_value_by_satisfaction(f, self.FIVE)
+
+    @pytest.mark.parametrize("text, node, member_tv", [
+        ("forall x . a in A", int, 1),                     # a constant body, kept
+        ("forall x . exists y . x in A", int, 5),          # a row over x, kept by exists y, reduced by forall x
+        ("exists x . forall y . x in A /\\ x in B", int, 10),
+        ("exists x . forall y . x in A /\\ y in B", None, 10),  # two slots, rows read inline
+        ("forall x . exists y . y in x", None, 0),         # two slots: a closure per instance
+    ])
+    def test_quantifiers_keep_or_reduce_rows(self, monkeypatch, text, node, member_tv):
+        _, counts = self.evaluated(monkeypatch, text)
+        assert counts["member_tv"] == member_tv
+        compiled = checker._compile(parse(text), self.FIVE, (), 1, [0])
+        assert isinstance(compiled, node) if node else callable(compiled)
+
+    @pytest.mark.parametrize("text", ["forall x . x = x \\/ x in Q", "false /\\ Q in A",
+                                      "forall x . (a in A -> Q in x) /\\ false"])
+    def test_an_unresolved_name_in_a_folded_operand_still_exits_3(self, capsys, tmp_path, text):
+        with pytest.raises(UnresolvedName, match="Q"):
+            evaluate(parse(text), self.FIVE)
+        session = tmp_path / "s.session"
+        session.write_text("universe a b c d e\nlet A = <{a}|{b}|{}>\n")
+        assert main(["eval", text, "--session", str(session)]) == 3
+        assert capsys.readouterr().err.count("error:") == 1
+
+    def test_small_formulas_over_p_and_q_exhaustively(self):
+        # Every connective over every pair of p, q, false and a connective
+        # applied to p or q: constants, rows on one letter and on two, and
+        # repeated letters.  Each value under each assignment, and
+        # valid_prop's answer, agree with the satisfaction recursion.
+        leaves = [fm.Prop("p"), fm.Prop("q"), fm.Bottom()]
+        small = leaves + [kind(leaf) for kind in UNARY for leaf in leaves[:2]]
+        for kind, left, right in itertools.product(BINARY, small, small):
+            f = kind(left, right)
+            for values in itertools.product(ALL_VALUES, repeat=2):
+                assignment = dict(zip("pq", values))
+                assert eval_prop(f, assignment) == reference(f, assignment), (fm.render(f), assignment)
+            assert valid_prop(f) == first_failure(f), fm.render(f)
+
+    @pytest.mark.parametrize("variables", [("x",), ("x", "y")])
+    def test_one_and_two_variable_bodies(self, variables):
+        rng = random.Random(29 + len(variables))
+        binders = list(itertools.product((Forall, Exists), repeat=len(variables)))
+        for _ in range(150):
+            m = random_model(rng)
+            body = letters_as_atoms(random_formula(rng, 3, variables, ("a", "b", "A", "B")))
+            for kinds in binders:
+                f = body
+                for kind, var in reversed(list(zip(kinds, variables))):
+                    f = kind(var, f)
+                value = evaluate(f, m)
+                g = expand_defined(f)
+                assert (value.assertable, value.deniable) == (sat_pos(g, m), sat_neg(g, m)), fm.render(f)
+                assert value == truth_value_by_satisfaction(f, m), fm.render(f)
